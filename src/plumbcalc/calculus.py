@@ -245,11 +245,22 @@ class MoveTrace:
 # -- canonical form ------------------------------------------------------------
 
 
-def _encode_rooted(g: PlumbingGraph, root: str, parent: str | None) -> str:
-    children = sorted(
-        _encode_rooted(g, c, root) for c in g.neighbors(root) if c != parent
-    )
-    return f"({g.weight(root)}" + "".join(children) + ")"
+def _encode_rooted(g: PlumbingGraph, root: str) -> str:
+    """Encoding of root's tree, rooted at root.  Iterative, so deep trees
+    cannot exhaust the stack: a BFS order, then codes built children first."""
+    adj, weight = g._adjacency, g._weight_map
+    parent: dict[str, str | None] = {root: None}
+    order = [root]
+    for v in order:  # grows while iterated: a BFS
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    codes: dict[str, str] = {}
+    for v in reversed(order):
+        children = sorted([codes.pop(c) for c in adj[v] if c != parent[v]])
+        codes[v] = f"({weight[v]}{''.join(children)})"
+    return codes[root]
 
 
 def _component_centers(g: PlumbingGraph, comp: frozenset[str]) -> list[str]:
@@ -278,7 +289,7 @@ def canonical_form(g: PlumbingGraph) -> str:
     parts = []
     for comp in g.components():
         centers = _component_centers(g, comp)
-        parts.append(min(_encode_rooted(g, c, None) for c in centers))
+        parts.append(min(_encode_rooted(g, c) for c in centers))
     return "|".join(sorted(parts))
 
 

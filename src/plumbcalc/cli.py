@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from .calculus import DEFAULT_BUDGET, Verdict, apply_move, reduce_to_s3
@@ -36,6 +35,7 @@ from .lattice import determinant, linking_matrix, mu_bar, rohlin_mu_bar, signatu
 from .scan import (
     DEFAULT_SCAN_PARAMS,
     ScanParams,
+    _pm1_solutions,
     all_odd_mu1_triples,
     surgery_coefficient,
     scan_range,
@@ -227,22 +227,10 @@ def _surgery_witness(t: BrieskornTriple):
         rs_val = idx[rs_pos]
         rest = [idx[i] for i in range(3) if i != rs_pos]
         for pv, qv in (rest, rest[::-1]):
-            for sp in (1, -1):
-                for sq in (1, -1):
-                    p, q = sp * pv, sq * qv
-                    if gcd(p, q) != 1 or p + q == 0:
-                        continue
-                    square = (p + q) ** 2
-                    for target in (1, -1):
-                        num = target - p * q
-                        if num % square:
-                            continue
-                        product = num // square
-                        if abs(product) != rs_val:
-                            continue
-                        r, s = (1, product) if product > 0 else (-1, -product)
-                        assert surgery_coefficient(p, q, r, s) == target
-                        return p, q, r, s
+            for p, q, product in _pm1_solutions((pv, -pv), (qv, -qv)):
+                if abs(product) == rs_val:
+                    r, s = (1, product) if product > 0 else (-1, -product)
+                    return p, q, r, s
     return None
 
 

@@ -16,17 +16,18 @@ move per line:
 optional blow-up depth; default searches emit blowdown and cancel lines
 only.)
 
-Parsing reports the offending line for every malformed document, and the
-graph invariants (unique ids, known endpoints, no loops or parallel edges,
-forest) are checked incrementally so the diagnostic points at the exact
-line that breaks them.
+Parsing reports the offending line for every malformed document.  This
+module checks only the format (directives, arity, integer weights, move-line
+id tokens, no graph line after a move); the graph invariants are checked by
+the graphs module's forest validator, fed one line at a time so the
+diagnostic points at the exact line that breaks them.
 """
 
 from __future__ import annotations
 
 from .calculus import Move, MoveTrace
-from .errors import GraphFormatError
-from .graphs import VERTEX_ID_RE, PlumbingGraph
+from .errors import DomainError, GraphFormatError
+from .graphs import VERTEX_ID_RE, PlumbingGraph, _ForestBuilder
 
 __all__ = [
     "parse_graph",
@@ -37,31 +38,22 @@ __all__ = [
 ]
 
 
+# Graph-line directive -> (usage, forest validator method it drives).
+_GRAPH_LINES = {
+    "vertex": ("vertex <id> <weight>", _ForestBuilder.add_vertex),
+    "edge": ("edge <id> <id>", _ForestBuilder.add_edge),
+}
+
+
 class _Parser:
     def __init__(self, text: str, source: str):
         self.source = source
         self.lines = text.splitlines()
-        self.weights: dict[str, int] = {}
-        self.edges: list[tuple[str, str]] = []
+        self.forest = _ForestBuilder()
         self.moves: list[Move] = []
-        self._edge_set: set[tuple[str, str]] = set()
-        self._parent: dict[str, str] = {}
 
     def fail(self, lineno: int, message: str):
         raise GraphFormatError(f"{self.source}:{lineno}: {message}")
-
-    def _find(self, x: str) -> str:
-        while self._parent[x] != x:
-            self._parent[x] = self._parent[self._parent[x]]
-            x = self._parent[x]
-        return x
-
-    def _id(self, lineno: int, token: str, must_exist: bool) -> str:
-        if not VERTEX_ID_RE.match(token):
-            self.fail(lineno, f"bad vertex id {token!r}")
-        if must_exist and token not in self.weights:
-            self.fail(lineno, f"unknown vertex {token!r}")
-        return token
 
     def run(self, allow_moves: bool):
         for lineno, raw in enumerate(self.lines, start=1):
@@ -70,10 +62,8 @@ class _Parser:
                 continue
             tokens = line.split()
             directive, args = tokens[0], tokens[1:]
-            if directive == "vertex":
-                self.vertex(lineno, args)
-            elif directive == "edge":
-                self.edge(lineno, args)
+            if directive in _GRAPH_LINES:
+                self.graph_line(lineno, directive, args)
             elif directive in ("blowdown", "cancel", "blowup"):
                 if not allow_moves:
                     self.fail(lineno, f"move line {directive!r} in a graph file")
@@ -81,38 +71,20 @@ class _Parser:
             else:
                 self.fail(lineno, f"unknown directive {directive!r}")
 
-    def vertex(self, lineno: int, args):
+    def graph_line(self, lineno: int, directive: str, args):
+        usage, add = _GRAPH_LINES[directive]
         if self.moves:
-            self.fail(lineno, "vertex line after the first move line")
+            self.fail(lineno, f"{directive} line after the first move line")
         if len(args) != 2:
-            self.fail(lineno, "vertex line needs exactly: vertex <id> <weight>")
-        vid = self._id(lineno, args[0], must_exist=False)
-        if vid in self.weights:
-            self.fail(lineno, f"duplicate vertex id {vid!r}")
+            self.fail(lineno, f"{directive} line needs exactly: {usage}")
         try:
-            weight = int(args[1])
+            add(self.forest, *args)
+        except DomainError as exc:
+            self.fail(lineno, str(exc))
         except ValueError:
+            # Only add_vertex raises it, from int() on the weight token,
+            # after its id checks.
             self.fail(lineno, f"weight {args[1]!r} is not an integer")
-        self.weights[vid] = weight
-        self._parent[vid] = vid
-
-    def edge(self, lineno: int, args):
-        if self.moves:
-            self.fail(lineno, "edge line after the first move line")
-        if len(args) != 2:
-            self.fail(lineno, "edge line needs exactly: edge <id> <id>")
-        u = self._id(lineno, args[0], must_exist=True)
-        v = self._id(lineno, args[1], must_exist=True)
-        if u == v:
-            self.fail(lineno, f"loop edge at {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_set:
-            self.fail(lineno, f"parallel edge ({u!r}, {v!r})")
-        if self._find(u) == self._find(v):
-            self.fail(lineno, f"edge ({u!r}, {v!r}) closes a cycle (graph must be a forest)")
-        self._parent[self._find(u)] = self._find(v)
-        self._edge_set.add(key)
-        self.edges.append(key)
 
     def move(self, lineno: int, kind: str, args):
         if kind == "blowup":
@@ -122,26 +94,22 @@ class _Parser:
                 weight = int(args[0])
             except ValueError:
                 self.fail(lineno, f"blow-up weight {args[0]!r} is not an integer")
-            ids = tuple(args[1:])
-            for token in ids:
-                self._id(lineno, token, must_exist=False)
-            self.moves.append(Move(kind, ids, weight=weight))
-            return
-        want = 1 if kind == "blowdown" else 2
-        if len(args) != want:
-            self.fail(lineno, f"{kind} line needs exactly {want} vertex id(s)")
-        for token in args:
-            self._id(lineno, token, must_exist=False)
-        self.moves.append(Move(kind, tuple(args)))
-
-    def graph(self) -> PlumbingGraph:
-        return PlumbingGraph.build(self.weights, self.edges)
+            ids = args[1:]
+        else:
+            want = 1 if kind == "blowdown" else 2
+            if len(args) != want:
+                self.fail(lineno, f"{kind} line needs exactly {want} vertex id(s)")
+            weight, ids = None, args
+        for token in ids:
+            if not VERTEX_ID_RE.match(token):
+                self.fail(lineno, f"bad vertex id {token!r}")
+        self.moves.append(Move(kind, tuple(ids), weight=weight))
 
 
 def parse_graph(text: str, source: str = "<graph>") -> PlumbingGraph:
     parser = _Parser(text, source)
     parser.run(allow_moves=False)
-    return parser.graph()
+    return parser.forest.graph()
 
 
 def parse_trace(text: str, source: str = "<trace>") -> tuple[PlumbingGraph, list[Move]]:
@@ -150,7 +118,7 @@ def parse_trace(text: str, source: str = "<trace>") -> tuple[PlumbingGraph, list
     against the graph."""
     parser = _Parser(text, source)
     parser.run(allow_moves=True)
-    return parser.graph(), parser.moves
+    return parser.forest.graph(), parser.moves
 
 
 def format_graph(g: PlumbingGraph, comments=()) -> str:

@@ -7,8 +7,10 @@ matters mathematically is invariant under relabeling, but deterministic
 output (matrices, file formats, search order) always sorts by id.
 
 Instances are immutable; the calculus moves build new graphs rather than
-mutating.  Construction validates all invariants, so any PlumbingGraph in
-hand is a genuine simple forest.
+mutating.  Every invariant is checked in one place, the incremental
+``_ForestBuilder`` below: ``PlumbingGraph.build`` feeds it a whole graph and
+the graphio parser feeds it one line at a time, so any PlumbingGraph in hand
+is a genuine simple forest.
 """
 
 from __future__ import annotations
@@ -43,45 +45,12 @@ class PlumbingGraph:
         """Create a graph from a {id: weight} mapping (or (id, weight)
         pairs) and an iterable of edge pairs.  Raises DomainError unless the
         result is a simple forest with well-formed ids."""
-        if hasattr(weights, "items"):
-            pairs = list(weights.items())
-        else:
-            pairs = [(v, w) for v, w in weights]
-        weight_map: dict[str, int] = {}
-        for v, w in pairs:
-            if not isinstance(v, str) or not VERTEX_ID_RE.match(v):
-                raise DomainError(f"bad vertex id {v!r}")
-            if v in weight_map:
-                raise DomainError(f"duplicate vertex id {v!r}")
-            weight_map[v] = int(w)
-
-        norm_edges: set[tuple[str, str]] = set()
-        parent = {v: v for v in weight_map}  # union-find for the forest check
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        forest = _ForestBuilder()
+        for v, w in weights.items() if hasattr(weights, "items") else weights:
+            forest.add_vertex(v, w)
         for u, v in edges:
-            if u not in weight_map or v not in weight_map:
-                raise DomainError(f"edge ({u!r}, {v!r}) references a missing vertex")
-            if u == v:
-                raise DomainError(f"loop edge at {u!r}")
-            e = (u, v) if u < v else (v, u)
-            if e in norm_edges:
-                raise DomainError(f"parallel edge ({u!r}, {v!r})")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise DomainError(f"edge ({u!r}, {v!r}) closes a cycle; graph must be a forest")
-            parent[ru] = rv
-            norm_edges.add(e)
-
-        return cls(
-            vertices=tuple(sorted(weight_map.items())),
-            edges=tuple(sorted(norm_edges)),
-        )
+            forest.add_edge(u, v)
+        return forest.graph()
 
     # -- accessors ---------------------------------------------------------
 
@@ -123,8 +92,7 @@ class PlumbingGraph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: str, v: str) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in set(self.edges)
+        return v in self._adjacency.get(u, ())
 
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected components as vertex-id sets, sorted by smallest id."""
@@ -165,3 +133,56 @@ class PlumbingGraph:
         weights = {mapping[v]: w for v, w in self.vertices}
         edges = [(mapping[u], mapping[v]) for u, v in self.edges]
         return PlumbingGraph.build(weights, edges)
+
+
+def _check_id(v) -> None:
+    if not isinstance(v, str) or not VERTEX_ID_RE.match(v):
+        raise DomainError(f"bad vertex id {v!r}")
+
+
+class _ForestBuilder:
+    """Incremental validator of the PlumbingGraph invariants.  Each add
+    checks what it could break and raises DomainError naming the offending
+    id(s), so a caller adding one item at a time knows which item failed."""
+
+    def __init__(self):
+        self.weights: dict[str, int] = {}
+        self.edges: list[tuple[str, str]] = []
+        self._parent: dict[str, str] = {}  # union-find for the forest check
+
+    def _find(self, x: str) -> str:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def add_vertex(self, v: str, w) -> None:
+        _check_id(v)
+        if v in self.weights:
+            raise DomainError(f"duplicate vertex id {v!r}")
+        self.weights[v] = int(w)
+        self._parent[v] = v
+
+    def add_edge(self, u: str, v: str) -> None:
+        for x in (u, v):
+            if x not in self.weights:
+                _check_id(x)
+                raise DomainError(f"unknown vertex {x!r}")
+        if u == v:
+            raise DomainError(f"loop edge at {u!r}")
+        e = (u, v) if u < v else (v, u)
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv:
+            # A parallel edge closes a cycle too; search the list only to name it.
+            if e in self.edges:
+                raise DomainError(f"parallel edge ({u!r}, {v!r})")
+            raise DomainError(f"edge ({u!r}, {v!r}) closes a cycle (graph must be a forest)")
+        self._parent[ru] = rv
+        self.edges.append(e)
+
+    def graph(self) -> PlumbingGraph:
+        return PlumbingGraph(
+            vertices=tuple(sorted(self.weights.items())),
+            edges=tuple(sorted(self.edges)),
+        )

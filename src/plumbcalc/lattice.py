@@ -246,13 +246,10 @@ def wu_class(g: PlumbingGraph) -> frozenset[str]:
     return _gf2_solve(linking_matrix(g))
 
 
-def mu_bar(g: PlumbingGraph) -> int:
-    """signature(A) - w^T A w for the Wu-class indicator w.  Requires odd
-    determinant; divisibility by 8 (guaranteed for |det| = 1) is checked,
-    not assumed."""
-    m = linking_matrix(g)
+def _mu_bar(m: LinkingMatrix, sig: int) -> int:
+    """signature - w^T A w for the Wu-class indicator w of m, given m's
+    signature, with the divisibility by 8 checked."""
     wu = _gf2_solve(m)
-    sig, _ = _diagonalize(m)
     pos = {v: i for i, v in enumerate(m.index)}
     wAw = sum(m.entries[pos[u]][pos[v]] for u in wu for v in wu)
     value = sig - wAw
@@ -261,12 +258,21 @@ def mu_bar(g: PlumbingGraph) -> int:
     return value
 
 
+def mu_bar(g: PlumbingGraph) -> int:
+    """signature(A) - w^T A w for the Wu-class indicator w.  Requires odd
+    determinant; divisibility by 8 (guaranteed for |det| = 1) is checked,
+    not assumed."""
+    m = linking_matrix(g)
+    return _mu_bar(m, _diagonalize(m)[0])
+
+
 def rohlin_mu_bar(g: PlumbingGraph) -> int:
     """Rohlin invariant (mu-bar / 8 mod 2) of the plumbed homology sphere;
     requires |det| = 1."""
-    sig, det = _diagonalize(linking_matrix(g))
+    m = linking_matrix(g)
+    sig, det = _diagonalize(m)
     if abs(det) != 1:
         raise DomainError(
             f"boundary is not a homology sphere: |det| = {abs(det)}"
         )
-    return (mu_bar(g) // 8) % 2
+    return (_mu_bar(m, sig) // 8) % 2

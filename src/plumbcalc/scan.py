@@ -16,10 +16,11 @@ records every coefficient +-1 hit.  Hits with |r*s| < 2 have fewer than
 three exceptional fibers, so the extraction rule does not apply; they are
 kept in the report without a triple so nothing is silently dropped.
 
-The production enumeration solves r*s = (target - p*q) / (p+q)^2 per
-(p, q, target) and factors over the r range rather than looping the full
-4-dimensional grid; the tests hold it equal to the naive quadruple loop on
-small grids.
+The coefficient +-1 equation r*s = (target - p*q) / (p+q)^2 is solved in
+one place, ``_pm1_solutions``, which serves both the scan and the CLI's
+``check`` witness search.  The scan factors each solution over the r range
+rather than looping the full 4-dimensional grid; the tests hold it equal to
+the naive quadruple loop on small grids.
 """
 
 from __future__ import annotations
@@ -111,14 +112,25 @@ def candidate_triple(p: int, q: int, r: int, s: int) -> BrieskornTriple:
     return BrieskornTriple(rs, abs(p), abs(q))
 
 
-def _values(rng: tuple[int, int]):
-    lo, hi = rng
-    return [x for x in range(lo, hi + 1) if x != 0]
-
-
 def _signed(bound: int):
     mags = range(2, bound + 1)
     return [x for m in mags for x in (-m, m)]
+
+
+def _pm1_solutions(p_values, q_values):
+    """Yield (p, q, r*s) for each coprime p, q (|p|, |q| >= 2) from the two
+    sequences and each target +1, -1 with r*s*(p+q)^2 + p*q = target solvable
+    in integers.  It owns the (p, q) loops so the scan pays no call per pair."""
+    for p in p_values:
+        for q in q_values:
+            if gcd(p, q) != 1:
+                continue
+            square = (p + q) ** 2  # p+q != 0: q = -p would share the factor p
+            pq = p * q
+            for target in (1, -1):
+                num = target - pq
+                if not num % square:
+                    yield p, q, num // square  # nonzero since |pq| >= 4
 
 
 def _make_record(p, q, r, s, mu_cache) -> ScanRecord:
@@ -143,26 +155,16 @@ def scan_range(params: ScanParams) -> list[ScanRecord]:
     s_lo, s_hi = params.s_range
     mu_cache: dict[BrieskornTriple, int] = {}
     records = []
-    for p in _signed(params.p_bound):
-        for q in _signed(params.q_bound):
-            if gcd(p, q) != 1:
+    for p, q, product in _pm1_solutions(_signed(params.p_bound), _signed(params.q_bound)):
+        for r in range(r_lo, r_hi + 1):
+            if r == 0 or product % r:
                 continue
-            square = (p + q) ** 2  # p+q != 0: q = -p would share the factor p
-            pq = p * q
-            for target in (1, -1):
-                num = target - pq
-                if num % square:
-                    continue
-                product = num // square  # required r*s; nonzero since |pq| >= 4
-                for r in range(r_lo, r_hi + 1):
-                    if r == 0 or product % r:
-                        continue
-                    s = product // r
-                    if s == 0 or not s_lo <= s <= s_hi:
-                        continue
-                    rec = _make_record(p, q, r, s, mu_cache)
-                    assert abs(rec.coefficient) == 1
-                    records.append(rec)
+            s = product // r
+            if s == 0 or not s_lo <= s <= s_hi:
+                continue
+            rec = _make_record(p, q, r, s, mu_cache)
+            assert abs(rec.coefficient) == 1
+            records.append(rec)
     records.sort(key=lambda rec: rec.sort_key)
     return records
 

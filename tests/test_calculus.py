@@ -171,6 +171,15 @@ def test_canonical_form_distinguishes_weights_and_shape():
     assert canonical_form(f1) != canonical_form(f2)
 
 
+def test_canonical_form_deep_path():
+    # deeper than the interpreter's recursion limit
+    g = path_graph(*[-2] * 3000)
+    h = g.relabeled({v: f"q{i:04d}" for i, v in enumerate(reversed(g.ids))})
+    form = canonical_form(g)
+    assert form == canonical_form(h)
+    assert form.count("(-2") == 3000
+
+
 def test_canonical_form_random_relabeling():
     rng = random.Random(23)
     for _ in range(50):

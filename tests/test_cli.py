@@ -2,8 +2,16 @@ import re
 
 import pytest
 
-from plumbcalc import canonical_form, parse_graph, parse_trace
-from plumbcalc.cli import main
+from plumbcalc import (
+    DEFAULT_SCAN_PARAMS,
+    candidate_triple,
+    canonical_form,
+    parse_graph,
+    parse_trace,
+    scan_range,
+    surgery_coefficient,
+)
+from plumbcalc.cli import _surgery_witness, main
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
 from plumbcalc.errors import GraphFormatError
 
@@ -184,6 +192,7 @@ def test_replay_trace_nonempty_end(capsys, tmp_path):
         ("vertex a -2\nedge a a\n", 2, "loop"),
         ("vertex a -2\nvertex b 1\nedge a b\nedge b a\n", 4, "parallel"),
         ("vertex a -2\nedge a z\n", 2, "unknown vertex"),
+        ("vertex a -2\nedge a b$\n", 2, "bad vertex id 'b$'"),
         ("vertex a x\n", 1, "not an integer"),
         ("vertx a -2\n", 1, "unknown directive"),
         ("vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\nedge a c\n", 6, "cycle"),
@@ -322,6 +331,18 @@ def test_check_5_9_13(capsys):
     assert lines[2] == "criterion rohlin-invariant-1: PASS (lattice 1, plumbing 1)"
     assert lines[3] == "criterion free-involution: PASS (all indices odd)"
     assert lines[4] == "result PASS"
+
+
+def test_check_witness_for_every_scanned_triple():
+    # scan_range and _surgery_witness share the +-1 solver; every triple the
+    # default scan extracts must get a witness that extracts it back
+    triples = {rec.triple for rec in scan_range(DEFAULT_SCAN_PARAMS) if rec.triple}
+    assert len(triples) == 51
+    for t in triples:
+        witness = _surgery_witness(t)
+        assert witness is not None
+        assert abs(surgery_coefficient(*witness)) == 1
+        assert candidate_triple(*witness) == t
 
 
 def test_check_fails_on_even_triple(capsys):

@@ -1,0 +1,27 @@
+import pytest
+
+from plumbcalc import DomainError, PlumbingGraph
+
+
+@pytest.mark.parametrize(
+    "weights,edges,fragment",
+    [
+        ({"a$": -2}, [], "bad vertex id"),
+        ([(7, -2)], [], "bad vertex id"),
+        ([("a", -2), ("a", -3)], [], "duplicate vertex id"),
+        ({"a": -2}, [("a", "z")], "unknown vertex 'z'"),
+        ({"a": -2}, [("a", "a")], "loop edge"),
+        ({"a": -2, "b": 1}, [("a", "b"), ("b", "a")], "parallel edge"),
+        ({"a": -2, "b": -2, "c": -2}, [("a", "b"), ("b", "c"), ("a", "c")], "closes a cycle"),
+    ],
+)
+def test_build_rejections(weights, edges, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        PlumbingGraph.build(weights, edges)
+
+
+def test_has_edge():
+    g = PlumbingGraph.build({"a": -2, "b": -2, "c": -2}, [("b", "a"), ("b", "c")])
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert not g.has_edge("a", "c")
+    assert not g.has_edge("a", "z") and not g.has_edge("z", "a")

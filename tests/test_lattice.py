@@ -194,6 +194,24 @@ def test_rohlin_mu_bar(fixtures):
         rohlin_mu_bar(PlumbingGraph.build({"a": 0}))
 
 
+def test_mu_bar_eliminates_once(fixtures, monkeypatch):
+    from plumbcalc import lattice
+
+    calls = []
+    for name in ("linking_matrix", "_diagonalize", "_gf2_solve"):
+        original = getattr(lattice, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    for fn in (mu_bar, rohlin_mu_bar):
+        calls.clear()
+        fn(fixtures["d2"])
+        assert sorted(calls) == ["_diagonalize", "_gf2_solve", "linking_matrix"]
+
+
 def test_invariants_are_relabeling_invariant(fixtures):
     rng = random.Random(1234)
     graphs = [fixtures["d2"], fixtures["e8"]]
