@@ -26,7 +26,7 @@ from enum import Enum
 
 from .errors import DomainError, MoveError
 from .graphs import PlumbingGraph
-from .lattice import determinant, linking_matrix
+from .lattice import _graph_walk
 
 __all__ = [
     "Move",
@@ -333,7 +333,7 @@ def reduce_to_s3(
         raise DomainError("budget must be positive")
     if blow_up_depth < 0:
         raise DomainError("blow-up depth must be >= 0")
-    det_abs = abs(determinant(linking_matrix(g)))
+    det_abs = abs(_graph_walk(g)[1])
     if det_abs != 1:
         return ReductionVerdict(Verdict.NOT_HOMOLOGY_SPHERE, det_abs=det_abs), None
 

@@ -31,7 +31,7 @@ from .errors import (
 from .fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
 from .graphio import format_graph, format_trace, parse_graph, parse_trace, to_dot
 from .graphs import PlumbingGraph
-from .lattice import determinant, linking_matrix, mu_bar, rohlin_mu_bar, signature, wu_class
+from .lattice import _graph_walk, _mu_bar, rohlin_mu_bar
 from .scan import (
     DEFAULT_SCAN_PARAMS,
     ScanParams,
@@ -111,19 +111,18 @@ def cmd_plumb(args) -> int:
 
 def cmd_invariants(args) -> int:
     g = _load_graph(args.graph)
-    m = linking_matrix(g)
-    det = determinant(m)
+    sig, det, wu = _graph_walk(g)
     print(f"vertices {len(g)}")
     print(f"edges {len(g.edges)}")
     print(f"components {len(g.components())}")
     print(f"det {det}")
-    print(f"signature {signature(m)}")
+    print(f"signature {sig}")
     if det % 2:
-        wu = sorted(wu_class(g))
-        print(f"wu {','.join(wu) if wu else '-'}")
-        print(f"mu-bar {mu_bar(g)}")
-    if abs(det) == 1:
-        print(f"rohlin {rohlin_mu_bar(g)}")
+        print(f"wu {','.join(sorted(wu)) or '-'}")
+        mu = _mu_bar(g, sig, wu)
+        print(f"mu-bar {mu}")
+        if abs(det) == 1:
+            print(f"rohlin {mu // 8 % 2}")
     return EXIT_OK
 
 

@@ -2,15 +2,12 @@
 
 The linking (intersection) matrix of a plumbing graph has the vertex weights
 on the diagonal and a 1 in position (i, j) exactly when vertices i and j are
-joined by an edge.  All invariants here are computed in exact arithmetic:
+joined by an edge.  All invariants here are computed in exact arithmetic; no
+floating point anywhere:
 
-* ``determinant``: fraction-free Bareiss elimination over the integers
-  (|det| is the order of the boundary's first homology; |det| = 1
-  characterizes homology spheres).
-* ``signature``: congruence diagonalization over the rationals.  Pivots are
-  nonzero diagonal entries; when the remaining block has an all-zero
-  diagonal, a 2x2 off-diagonal block is split off, contributing one positive
-  and one negative eigenvalue.  No floating point anywhere.
+* ``determinant``: |det| is the order of the boundary's first homology
+  (|det| = 1 characterizes homology spheres).
+* ``signature``: positive minus negative eigenvalue count.
 * ``wu_class``: the characteristic vertex subset S with
   sum_{u in S} A[v,u] = A[v,v] (mod 2) for every v, solved over GF(2);
   unique exactly when det is odd.
@@ -20,15 +17,23 @@ joined by an edge.  All invariants here are computed in exact arithmetic:
   it can fail (path (-2)-(-2): det 3, value -2), and mu_bar raises
   ParityError rather than return a value outside its contract.
 
-The two elimination routines are deliberately independent algorithms; the
-test suite cross-checks them against each other and against brute-force
-oracles.
+Every plumbing graph is a forest, so all of these come from one O(n)
+leaf-to-root walk (``_forest_walk``, W. Neumann, Trans. AMS 268, 1981): a
+nonzero effective weight is a 1x1 pivot whose Schur complement lowers its
+parent's weight, and a zero one pairs with its parent as a hyperbolic 2x2
+block.  The graph functions run the walk on the graph itself and never
+build a matrix.  ``determinant`` and ``signature`` take any matrix: they run
+the walk when its off-diagonal support is a forest, and otherwise fall back
+on fraction-free Bareiss elimination and sparse congruence diagonalization.
+The fallbacks are independent algorithms, and the test suite holds the walk
+equal to them and to a dense GF(2) solve and brute-force Wu search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import DomainError, ParityError, SingularError
 from .graphs import PlumbingGraph
@@ -72,18 +77,146 @@ def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
 def _rows(m) -> list[list[int]]:
     """Accept a LinkingMatrix or any square nested sequence of ints."""
     entries = m.entries if isinstance(m, LinkingMatrix) else m
-    rows = [list(map(int, row)) for row in entries]
+    rows = [list(row) for row in entries]
     for row in rows:
         if len(row) != len(rows):
             raise DomainError("matrix is not square")
+        if not {int}.issuperset(map(type, row)):
+            bad = next(x for x in row if type(x) is not int)
+            raise DomainError(f"matrix entry {bad!r} is not an int")
     return rows
 
 
+def _is_symmetric(a: list[list[int]]) -> bool:
+    return list(map(list, zip(*a))) == a
+
+
+def _forest_walk(weights, edges):
+    """Signature, determinant and Wu set of the symmetric matrix with
+    diagonal ``weights`` and off-diagonal entries ``edges`` ((i, j, b) with
+    i != j, b != 0, each pair once), in one leaf-to-root pass.
+
+    Returns None when the edges do not form a forest.  Otherwise returns
+    (signature, det, wu), where wu is the set of indices of the unique
+    solution of A x = diag(A) over GF(2), or None when det is even.
+
+    Over Q a vertex whose children are all eliminated touches only its
+    parent.  A nonzero effective weight e is a pivot (signature +-1, det * e,
+    parent weight -= b^2 / e).  A zero one with parent link b leaves the
+    2x2 block [[0, b], [b, *]] with det -b^2 and signature 0, whose Schur
+    complement is zero: the parent's other edges simply drop.  A zero
+    weight with no partner is an isolated zero eigenvalue (det 0).
+
+    The GF(2) pass makes the same moves on A mod 2.  Each move keeps the
+    right-hand side diag(A) equal to the effective diagonal, so a pivot
+    reads x_v = 1 + x_parent and a pair {z, v} reads x_v = 0,
+    x_z = e_v + x_parent; these are solved from the roots down.  The pass
+    meets a singular state only when det(A mod 2) = det(A) mod 2 is 0.
+    """
+    n = len(weights)
+    adj = [[] for _ in range(n)]
+    for i, j, b in edges:
+        adj[i].append((j, b))
+        adj[j].append((i, b))
+    # Breadth-first from each root; reversed, every vertex follows its subtree.
+    parent, link, seen, order = [-1] * n, [0] * n, [False] * n, []
+    roots = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        roots += 1
+        seen[root] = True
+        k = len(order)
+        order.append(root)
+        while k < len(order):
+            v = order[k]
+            k += 1
+            for u, b in adj[v]:
+                if not seen[u]:
+                    seen[u], parent[u], link[u] = True, v, b
+                    order.append(u)
+    if len(edges) != n - roots:
+        return None
+
+    sig, det = 0, 1
+    eff = list(weights)  # effective weights over Q
+    zero = [-1] * n  # the child left with effective weight 0, over Q
+    eff2 = [w & 1 for w in weights]  # the same over GF(2)
+    zero2 = [-1] * n
+    back = []  # (v, c, u): x_v = c + x_u over GF(2), u = -1 for none
+    for v in reversed(order):
+        p, b = parent[v], link[v]
+        z = zero[v]
+        if z >= 0:
+            det *= -link[z] ** 2
+        elif eff[v]:
+            sig += 1 if eff[v] > 0 else -1
+            det *= eff[v]
+            if p >= 0:
+                eff[p] -= Fraction(b * b) / eff[v]
+        elif p >= 0 and zero[p] < 0:
+            zero[p] = v
+        else:
+            det = 0
+
+        up = p if b & 1 else -1  # the parent, when the link is odd
+        z = zero2[v]
+        if z >= 0:
+            back.append((z, eff2[v], up))  # and x_v = 0
+        elif eff2[v]:
+            back.append((v, 1, up))
+            if up >= 0:
+                eff2[up] ^= 1
+        elif up >= 0:
+            zero2[up] = v
+
+    det = Fraction(det)
+    if det.denominator != 1:
+        raise AssertionError("forest walk produced a non-integer determinant")
+    if det.numerator % 2 == 0:
+        return sig, det.numerator, None
+    x = [0] * n
+    for v, c, u in reversed(back):
+        x[v] = c ^ x[u] if u >= 0 else c
+    return sig, det.numerator, frozenset(compress(range(n), x))
+
+
+def _graph_walk(g: PlumbingGraph) -> tuple[int, int, frozenset[str] | None]:
+    """(signature, det, Wu class or None) of g's linking matrix, from one
+    walk over the graph itself."""
+    ids = g.ids
+    pos = {v: i for i, v in enumerate(ids)}
+    sig, det, wu = _forest_walk(
+        [w for _, w in g.vertices], [(pos[u], pos[v], 1) for u, v in g.edges]
+    )
+    return sig, det, None if wu is None else frozenset(ids[i] for i in wu)
+
+
+def _walk_matrix(a: list[list[int]]):
+    """_forest_walk on a symmetric matrix, or None when its off-diagonal
+    support is not a forest."""
+    n = len(a)
+    edges = []
+    for i, row in enumerate(a):
+        edges.extend((i, j, row[j]) for j in compress(range(i + 1, n), row[i + 1 :]))
+        if len(edges) >= n:  # more than a forest on n vertices has
+            return None
+    return _forest_walk([row[i] for i, row in enumerate(a)], edges)
+
+
 def determinant(m) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination with
-    row pivoting.  Accepts a LinkingMatrix or a plain nested sequence, so it
-    also serves ad-hoc matrices that never came from a graph."""
+    """Exact integer determinant of a square integer matrix.  Accepts a
+    LinkingMatrix or a plain nested sequence, so it also serves ad-hoc
+    matrices that never came from a graph; those that are not symmetric
+    with forest support go through Bareiss elimination."""
     a = _rows(m)
+    walked = _walk_matrix(a) if _is_symmetric(a) else None
+    return _bareiss(a) if walked is None else walked[1]
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant by Bareiss fraction-free elimination with row pivoting;
+    O(n^3) and overwrites ``a``."""
     n = len(a)
     if n == 0:
         return 1
@@ -106,16 +239,15 @@ def determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _diagonalize(m) -> tuple[int, int]:
+def _diagonalize(dense: list[list[int]]) -> tuple[int, int]:
     """Exact congruence diagonalization of a symmetric matrix.
 
     Returns (signature, determinant).  Works on a sparse dict-of-dicts copy;
-    pivoting prefers the nonzero diagonal entry of minimum fill, so tree
-    matrices reduce in linear time.  The determinant falls out as the
-    product of the 1x1 pivots and the -b^2 factors of the hyperbolic 2x2
-    blocks (Schur-complement elimination leaves det unchanged).
+    pivoting prefers the nonzero diagonal entry of minimum fill.  The
+    determinant falls out as the product of the 1x1 pivots and the -b^2
+    factors of the hyperbolic 2x2 blocks (Schur-complement elimination
+    leaves det unchanged).
     """
-    dense = _rows(m)
     n = len(dense)
     rows: dict[int, dict[int, Fraction | int]] = {}
     for i in range(n):
@@ -201,78 +333,55 @@ def _diagonalize(m) -> tuple[int, int]:
 def signature(m) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric
     integer matrix, exact over the rationals; zero eigenvalues contribute 0."""
-    return _diagonalize(m)[0]
+    a = _rows(m)
+    if not _is_symmetric(a):
+        raise DomainError("matrix is not symmetric")
+    walked = _walk_matrix(a)
+    return _diagonalize(a)[0] if walked is None else walked[0]
 
 
-def _gf2_solve(m: LinkingMatrix) -> frozenset[str]:
-    """Solve A x = diag(A) over GF(2); unique solution iff det(A) is odd."""
-    n = len(m)
-    # Row i as a bitmask over columns, with the RHS parity in bit n.
-    work = []
-    for i in range(n):
-        bits = 0
-        for j in range(n):
-            if m.entries[i][j] % 2:
-                bits |= 1 << j
-        bits |= (m.entries[i][i] % 2) << n
-        work.append(bits)
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, n):
-            if work[i] >> col & 1:
-                sel = i
-                break
-        if sel is None:
-            raise SingularError(
-                "linking matrix is singular mod 2 (even determinant); "
-                "no unique characteristic subset"
-            )
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(n):
-            if i != r and work[i] >> col & 1:
-                work[i] ^= work[r]
-        pivot_row_of_col[col] = r
-        r += 1
-    x = [work[pivot_row_of_col[col]] >> n & 1 for col in range(n)]
-    return frozenset(v for v, bit in zip(m.index, x) if bit)
+def _characteristic(wu: frozenset[str] | None) -> frozenset[str]:
+    """The Wu class the walk found; None means it is not unique."""
+    if wu is None:
+        raise SingularError(
+            "linking matrix is singular mod 2 (even determinant); "
+            "no unique characteristic subset"
+        )
+    return wu
 
 
-def wu_class(g: PlumbingGraph) -> frozenset[str]:
-    """The unique vertex subset S with, for every v,
-    sum_{u in S} A[v,u] = A[v,v] (mod 2).  Raises SingularError when det is
-    even (solution not unique)."""
-    return _gf2_solve(linking_matrix(g))
-
-
-def _mu_bar(m: LinkingMatrix, sig: int) -> int:
-    """signature - w^T A w for the Wu-class indicator w of m, given m's
-    signature, with the divisibility by 8 checked."""
-    wu = _gf2_solve(m)
-    pos = {v: i for i, v in enumerate(m.index)}
-    wAw = sum(m.entries[pos[u]][pos[v]] for u in wu for v in wu)
+def _mu_bar(g: PlumbingGraph, sig: int, wu: frozenset[str] | None) -> int:
+    """signature - w^T A w for the Wu-class indicator w of g, given g's
+    signature and Wu class, with the divisibility by 8 checked."""
+    wu = _characteristic(wu)
+    wAw = sum(map(g.weight, wu)) + 2 * sum(u in wu and v in wu for u, v in g.edges)
     value = sig - wAw
     if value % 8:
         raise ParityError(f"mu-bar {value} is not divisible by 8")
     return value
 
 
+def wu_class(g: PlumbingGraph) -> frozenset[str]:
+    """The unique vertex subset S with, for every v,
+    sum_{u in S} A[v,u] = A[v,v] (mod 2).  Raises SingularError when det is
+    even (solution not unique)."""
+    return _characteristic(_graph_walk(g)[2])
+
+
 def mu_bar(g: PlumbingGraph) -> int:
     """signature(A) - w^T A w for the Wu-class indicator w.  Requires odd
     determinant; divisibility by 8 (guaranteed for |det| = 1) is checked,
     not assumed."""
-    m = linking_matrix(g)
-    return _mu_bar(m, _diagonalize(m)[0])
+    sig, _, wu = _graph_walk(g)
+    return _mu_bar(g, sig, wu)
 
 
 def rohlin_mu_bar(g: PlumbingGraph) -> int:
     """Rohlin invariant (mu-bar / 8 mod 2) of the plumbed homology sphere;
-    requires |det| = 1."""
-    m = linking_matrix(g)
-    sig, det = _diagonalize(m)
+    requires |det| = 1, checked before the Wu class is used."""
+    sig, det, wu = _graph_walk(g)
     if abs(det) != 1:
         raise DomainError(
             f"boundary is not a homology sphere: |det| = {abs(det)}"
         )
-    return (_mu_bar(m, sig) // 8) % 2
+    return (_mu_bar(g, sig, wu) // 8) % 2

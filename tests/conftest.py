@@ -30,6 +30,14 @@ def random_forest(rng: random.Random, max_vertices: int = 10) -> PlumbingGraph:
     return PlumbingGraph.build(weights, edges)
 
 
+def path_graph(*weights) -> PlumbingGraph:
+    """The path p0 - p1 - ... with the given weights."""
+    ids = [f"p{i}" for i in range(len(weights))]
+    return PlumbingGraph.build(
+        dict(zip(ids, weights)), [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
+    )
+
+
 def random_relabeling(rng: random.Random, g: PlumbingGraph) -> dict:
     """Random injective relabeling of g's vertex ids."""
     ids = list(g.ids)

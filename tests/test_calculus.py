@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_forest, random_relabeling
+from conftest import path_graph, random_forest, random_relabeling
 from plumbcalc import (
     DomainError,
     Move,
@@ -20,13 +20,6 @@ from plumbcalc import (
     parse_trace,
     reduce_to_s3,
 )
-
-
-def path_graph(*weights):
-    ids = [f"p{i}" for i in range(len(weights))]
-    return PlumbingGraph.build(
-        dict(zip(ids, weights)), [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
-    )
 
 
 # -- individual moves ----------------------------------------------------------

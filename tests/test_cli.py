@@ -90,6 +90,21 @@ def test_invariants_e8_and_even_det(capsys, tmp_path):
     assert out == "vertices 1\nedges 0\ncomponents 1\ndet 0\nsignature 0\n"
 
 
+def test_invariants_long_path(capsys, tmp_path):
+    # one linear walk: a dense cubic route would not finish
+    f = tmp_path / "path.graph"
+    f.write_text(
+        "".join(f"vertex p{i:04d} -2\n" for i in range(3000))
+        + "".join(f"edge p{i:04d} p{i + 1:04d}\n" for i in range(2999))
+    )
+    code, out, _ = run(capsys, "invariants", str(f))
+    assert code == 0
+    assert out == (
+        "vertices 3000\nedges 2999\ncomponents 1\ndet 3001\nsignature -3000\n"
+        "wu -\nmu-bar -3000\n"
+    )
+
+
 # -- mu ---------------------------------------------------------------------------
 
 

@@ -3,36 +3,102 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_forest, random_relabeling
+from conftest import path_graph, random_forest, random_relabeling
 from plumbcalc import (
+    BrieskornTriple,
     DomainError,
     PlumbingGraph,
     SingularError,
+    brieskorn_seifert,
     determinant,
     linking_matrix,
     mu_bar,
+    reduce_to_s3,
+    rohlin_from_signature,
     rohlin_mu_bar,
     signature,
+    star_plumbing,
     wu_class,
 )
-from plumbcalc.lattice import _diagonalize
+from plumbcalc.lattice import (
+    _bareiss,
+    _diagonalize,
+    _forest_walk,
+    _graph_walk,
+    _walk_matrix,
+)
+
+
+def brute_force_wu_indices(a):
+    """All index subsets S with sum_{u in S} a[v][u] = a[v][v] (mod 2) for
+    every v, found by exhaustive search over the 2^n subsets."""
+    n = len(a)
+    rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in a]
+    return [
+        frozenset(combo)
+        for size in range(n + 1)
+        for combo in combinations(range(n), size)
+        if all(
+            (rows[v] & sum(1 << u for u in combo)).bit_count() % 2 == a[v][v] % 2
+            for v in range(n)
+        )
+    ]
 
 
 def brute_force_wu(g):
-    """All subsets S with sum_{u in S} A[v,u] = A[v,v] (mod 2) for every v,
-    found by exhaustive search over the 2^n subsets."""
+    """brute_force_wu_indices on g's linking matrix, as vertex-id sets."""
     m = linking_matrix(g)
-    n = len(m)
-    solutions = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            chosen = set(combo)
-            if all(
-                sum(m.entries[v][u] for u in chosen) % 2 == m.entries[v][v] % 2
-                for v in range(n)
-            ):
-                solutions.append(frozenset(m.index[i] for i in combo))
-    return solutions
+    return [
+        frozenset(m.index[i] for i in s) for s in brute_force_wu_indices(m.entries)
+    ]
+
+
+def dense_wu(a):
+    """Dense Gauss-Jordan solve of a x = diag(a) over GF(2): the index set
+    of the unique solution, or None when a is singular mod 2."""
+    n = len(a)
+    # Row i as a bitmask over columns, with the RHS parity in bit n.
+    work = []
+    for i in range(n):
+        bits = 0
+        for j in range(n):
+            if a[i][j] % 2:
+                bits |= 1 << j
+        bits |= (a[i][i] % 2) << n
+        work.append(bits)
+    pivot_row_of_col = {}
+    r = 0
+    for col in range(n):
+        sel = None
+        for i in range(r, n):
+            if work[i] >> col & 1:
+                sel = i
+                break
+        if sel is None:
+            return None
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(n):
+            if i != r and work[i] >> col & 1:
+                work[i] ^= work[r]
+        pivot_row_of_col[col] = r
+        r += 1
+    return frozenset(col for col in range(n) if work[pivot_row_of_col[col]] >> n & 1)
+
+
+def random_forest_matrix(rng, max_vertices):
+    """Symmetric integer matrix whose off-diagonal support is a random
+    forest: zero and odd/even weights, isolated vertices, and links other
+    than 1."""
+    n = rng.randint(0, max_vertices)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = rng.choice((-4, -3, -2, -2, -1, 0, 0, 0, 1, 2, 3))
+        if i and rng.random() < 0.8:
+            j = rng.randrange(i)
+            a[i][j] = a[j][i] = rng.choice((1, 1, 1, -1, 2, -2, 3))
+    order = list(range(n))
+    rng.shuffle(order)  # so parents are not always the lower index
+    return [[a[i][j] for j in order] for i in order]
 
 
 def two_vertex_graph():
@@ -82,6 +148,106 @@ def test_bareiss_and_diagonalization_agree():
         if det != 0:
             negatives = (n - sig) // 2
             assert (-1) ** negatives == (1 if det > 0 else -1)
+
+
+def test_forest_walk_agrees_with_dense_routes():
+    rng = random.Random(2024)
+    odd = 0
+    for _ in range(3000):
+        a = random_forest_matrix(rng, max_vertices=10)
+        sig, det, wu = _walk_matrix(a)
+        assert det == determinant(a) == _bareiss([row[:] for row in a])
+        assert sig == signature(a) == _diagonalize(a)[0]
+        assert wu == dense_wu(a)
+        if len(a) <= 8:
+            solutions = brute_force_wu_indices(a)
+            if det % 2:
+                assert solutions == [wu]
+            else:
+                assert len(solutions) != 1
+        odd += det % 2
+    assert 500 < odd < 2500  # both the Wu and the singular branches ran
+
+
+@pytest.mark.parametrize(
+    "weights, det, sig",
+    [
+        ((0, 0), -1, 0),
+        ((0, 2, 0), 0, 0),
+        ((0, 0, 0), 0, 0),
+        ((0, 0, 0, 0), 1, 0),
+        ((2, 0, 2, 0), 1, 0),
+        ((0, -1, 0, 3, 0), 0, 0),
+        ((1, 0, 1, 0, 1), 3, 1),
+    ],
+)
+def test_zero_weight_chains(weights, det, sig):
+    # zero effective weights pair with their parent as hyperbolic blocks
+    g = path_graph(*weights)
+    a = [list(row) for row in linking_matrix(g).entries]
+    assert (det, sig) == (_bareiss([row[:] for row in a]), _diagonalize(a)[0])
+    assert (determinant(a), signature(a)) == (det, sig)
+    walked_sig, walked_det, wu = _graph_walk(g)
+    assert (walked_det, walked_sig) == (det, sig)
+    expected = dense_wu(a)
+    assert wu == (None if expected is None else frozenset(g.ids[i] for i in expected))
+
+
+def test_zero_centred_stars():
+    leaves = {"x": -2, "y": -2, "z": -2}
+    g = PlumbingGraph.build({"c": 0, **leaves}, [("c", v) for v in leaves])
+    assert _graph_walk(g)[:2] == (-2, -12)
+    g = PlumbingGraph.build({"c": 0, "x": 0, "y": 0, "z": -2}, [("c", v) for v in "xyz"])
+    assert _graph_walk(g) == (-1, 0, None)  # {c, x} hyperbolic, y isolated
+    assert determinant(linking_matrix(g)) == 0
+
+
+def test_non_forest_matrices_fall_back():
+    triangle_and_point = [
+        [-2, 1, 1, 0],
+        [1, -2, 1, 0],
+        [1, 1, -2, 0],
+        [0, 0, 0, 5],
+    ]
+    assert _forest_walk([-2, -2, -2, 5], [(0, 1, 1), (0, 2, 1), (1, 2, 1)]) is None
+    assert _walk_matrix(triangle_and_point) is None  # 3 edges on 4 vertices, a cycle
+    assert determinant(triangle_and_point) == 0
+    assert signature(triangle_and_point) == -1  # eigenvalues 0, -3, -3, 5
+    dense = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert _walk_matrix(dense) is None
+    assert determinant(dense) == 4 and signature(dense) == 3
+
+
+def test_non_symmetric_matrices():
+    assert determinant([[1, 2], [0, 1]]) == 1
+    assert determinant([[2, 1], [3, 4]]) == 5
+    assert determinant([[0, 1], [0, 0]]) == 0
+    with pytest.raises(DomainError, match="matrix is not symmetric"):
+        signature([[1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "fn, m", [(determinant, [[1.5]]), (signature, [[0.4]]), (determinant, [["3"]]),
+              (signature, [[1, 2.0], [2, 1]])],
+)
+def test_entries_must_be_ints(fn, m):
+    with pytest.raises(DomainError, match="is not an int"):
+        fn(m)
+
+
+def test_long_path_and_big_star_in_linear_time():
+    # minutes on a dense cubic route; milliseconds on the forest walk
+    path = path_graph(*[-2] * 3000)
+    assert _graph_walk(path) == (-3000, 3001, frozenset())
+    assert wu_class(path) == frozenset()
+    assert reduce_to_s3(path)[0].det_abs == 3001
+    t = BrieskornTriple(3, 5, 10007)
+    star = star_plumbing(brieskorn_seifert(t))
+    assert len(star) == 675
+    m = linking_matrix(star)
+    assert abs(determinant(m)) == 1
+    assert signature(m) == -675
+    assert rohlin_mu_bar(star) == rohlin_from_signature(t) == 1
 
 
 def test_signature_is_congruence_invariant():
@@ -195,10 +361,11 @@ def test_rohlin_mu_bar(fixtures):
 
 
 def test_mu_bar_eliminates_once(fixtures, monkeypatch):
+    # one forest walk per call, and no dense matrix or dense elimination
     from plumbcalc import lattice
 
     calls = []
-    for name in ("linking_matrix", "_diagonalize", "_gf2_solve"):
+    for name in ("_forest_walk", "linking_matrix", "_bareiss", "_diagonalize"):
         original = getattr(lattice, name)
 
         def counted(*args, _name=name, _original=original):
@@ -209,7 +376,7 @@ def test_mu_bar_eliminates_once(fixtures, monkeypatch):
     for fn in (mu_bar, rohlin_mu_bar):
         calls.clear()
         fn(fixtures["d2"])
-        assert sorted(calls) == ["_diagonalize", "_gf2_solve", "linking_matrix"]
+        assert calls == ["_forest_walk"]
 
 
 def test_invariants_are_relabeling_invariant(fixtures):
