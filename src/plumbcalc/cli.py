@@ -6,7 +6,8 @@ export-dot, replay-trace, check, fixtures.
 Exit codes are fixed so shell scripts need no output parsing:
   0  success / positive verdict
   1  negative verdict (reduce did not reach S3, replay failed, check failed)
-  2  usage or domain error (bad flags, unparsable file, invalid triple)
+  2  usage or domain error (bad flags, unparsable file, invalid triple,
+     unwritable output file)
   3  cross-check failure (the two mu methods disagree)
 
 Every command is deterministic: identical invocations produce byte-identical
@@ -35,7 +36,6 @@ from .lattice import _graph_walk, _mu_bar, rohlin_mu_bar
 from .scan import (
     DEFAULT_SCAN_PARAMS,
     ScanParams,
-    _pm1_solutions,
     all_odd_mu1_triples,
     surgery_coefficient,
     scan_range,
@@ -219,17 +219,16 @@ def cmd_replay_trace(args) -> int:
 
 
 def _surgery_witness(t: BrieskornTriple):
-    """Search for (p, q, r, s) with coefficient +-1 whose extracted triple
-    is t, i.e. |r*s|, |p|, |q| matching t's indices in some order."""
+    """Find (p, q, r, s) with coefficient +-1 whose extracted triple is t.
+    A +-1 tuple has p, q of opposite signs and r*s >= 1 (see ``scan``), so
+    its coefficient is r*s*(|p|-|q|)^2 - |p|*|q| whatever the signs and order,
+    and it is enough to try (a, -b, 1, k) for each index k of t in order,
+    with (a, b) the other two."""
     idx = t.indices
-    for rs_pos in range(3):
-        rs_val = idx[rs_pos]
-        rest = [idx[i] for i in range(3) if i != rs_pos]
-        for pv, qv in (rest, rest[::-1]):
-            for p, q, product in _pm1_solutions((pv, -pv), (qv, -qv)):
-                if abs(product) == rs_val:
-                    r, s = (1, product) if product > 0 else (-1, -product)
-                    return p, q, r, s
+    for i, k in enumerate(idx):
+        a, b = idx[:i] + idx[i + 1 :]
+        if abs(surgery_coefficient(a, -b, 1, k)) == 1:
+            return a, -b, 1, k
     return None
 
 
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("lattice", "plumbing", "both"),
         default="both",
-        help="lattice-point signature count, plumbing mu-bar, or both (default)",
+        help="Milnor-fiber signature (Dedekind sums), plumbing mu-bar, or both (default)",
     )
     p.set_defaults(func=cmd_mu)
 
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
     except MoveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except PlumbcalcError as exc:
+    except (PlumbcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

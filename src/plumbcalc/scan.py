@@ -16,17 +16,29 @@ records every coefficient +-1 hit.  Hits with |r*s| < 2 have fewer than
 three exceptional fibers, so the extraction rule does not apply; they are
 kept in the report without a triple so nothing is silently dropped.
 
-The coefficient +-1 equation r*s = (target - p*q) / (p+q)^2 is solved in
-one place, ``_pm1_solutions``, which serves both the scan and the CLI's
-``check`` witness search.  The scan factors each solution over the r range
-rather than looping the full 4-dimensional grid; the tests hold it equal to
-the naive quadruple loop on small grids.
+Which tuples can hit.  Write c = r*s*(p+q)^2 + p*q = +-1.  Same-sign p, q
+never hit: (p+q)^2 >= 4|pq| > |pq| + 1 >= |c - pq| > 0, so (p+q)^2 cannot
+divide c - pq.  So p = e*x and q = -e*y with e = +-1 and x, y >= 2, and with
+d = |x - y| and k = r*s the condition reads x*y = k*d^2 - c.  This forces
+k >= 1 (r and s share a sign) and k <= x*y + 1 <= pBound*qBound + 1.
+
+The solver.  With h = max(x, y) and g = d the condition is the unit norm
+h^2 - h*g - k*g^2 = -c, and every solution is a convergent h/g of
+(1 + sqrt(4k+1))/2.  ``_unit_solutions`` walks that continued fraction while
+h stays within the bounds, so ``scan_range`` loops k = 1..K with
+K = min(max r*s, pBound*qBound + 1), splits each k that has a solution into
+its (r, s) factor pairs within the ranges, and emits the <= 4 sign and
+orientation variants of each solution times those pairs.  The cost is
+O(K log B + records) with B = max(pBound, qBound): it does not grow with the
+area of the (p, q) box, so bounds like |p|, |q| <= 10^9 are cheap.  The tests
+hold the scan equal to the (p, q) pair loop and, on small grids, to the
+naive quadruple loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DomainError, HypothesisError
 from .seifert import BrieskornTriple, all_odd, rohlin_from_signature
@@ -112,25 +124,50 @@ def candidate_triple(p: int, q: int, r: int, s: int) -> BrieskornTriple:
     return BrieskornTriple(rs, abs(p), abs(q))
 
 
-def _signed(bound: int):
-    mags = range(2, bound + 1)
-    return [x for m in mags for x in (-m, m)]
+def _unit_solutions(k: int, bound: int):
+    """Yield every coprime pair (x, y) with bound >= x > y >= 2 and
+    x*y = k*(x-y)^2 - c for some c in {+1, -1}, in increasing x.
+
+    With h = x and g = x - y the equation reads h^2 - h*g - k*g^2 = -c, a
+    norm of h - g*w for w = (1 + sqrt(4k+1))/2, and every such h/g is a
+    convergent of w.  So the walk follows the continued fraction of w, with
+    complete quotients (P + sqrt(4k+1))/Q from (1, 2), while the convergent
+    numerator stays within the bound.  When 4k+1 is a square the norm
+    factors and has no solution with y >= 2."""
+    disc = 4 * k + 1
+    root = isqrt(disc)
+    if root * root == disc:
+        return
+    quot_p, quot_q = 1, 2
+    h_prev, h = 0, 1
+    g_prev, g = 1, 0
+    while True:
+        a = (quot_p + root) // quot_q
+        h_prev, h = h, a * h + h_prev
+        g_prev, g = g, a * g + g_prev
+        if h > bound:
+            return
+        if h - g >= 2 and abs(h * h - h * g - k * g * g) == 1:
+            yield h, h - g
+        quot_p = a * quot_q - quot_p
+        quot_q = (disc - quot_p * quot_p) // quot_q
 
 
-def _pm1_solutions(p_values, q_values):
-    """Yield (p, q, r*s) for each coprime p, q (|p|, |q| >= 2) from the two
-    sequences and each target +1, -1 with r*s*(p+q)^2 + p*q = target solvable
-    in integers.  It owns the (p, q) loops so the scan pays no call per pair."""
-    for p in p_values:
-        for q in q_values:
-            if gcd(p, q) != 1:
-                continue
-            square = (p + q) ** 2  # p+q != 0: q = -p would share the factor p
-            pq = p * q
-            for target in (1, -1):
-                num = target - pq
-                if not num % square:
-                    yield p, q, num // square  # nonzero since |pq| >= 4
+def _factor_pairs(k: int, r_range, s_range) -> list[tuple[int, int]]:
+    """All (r, s) with r*s = k >= 1, r in r_range and s in s_range, by trial
+    division up to sqrt(k)."""
+    r_lo, r_hi = r_range
+    s_lo, s_hi = s_range
+    pairs = []
+    for d in range(1, isqrt(k) + 1):
+        if k % d:
+            continue
+        e = k // d
+        for r in {d, e, -d, -e}:
+            s = k // r
+            if r_lo <= r <= r_hi and s_lo <= s <= s_hi:
+                pairs.append((r, s))
+    return pairs
 
 
 def _make_record(p, q, r, s, mu_cache) -> ScanRecord:
@@ -151,20 +188,37 @@ def scan_range(params: ScanParams) -> list[ScanRecord]:
     """All coefficient +-1 records in the parameter box, sorted by
     (|p|, |q|, r, s, p, q).  Deterministic: identical params give an
     identical list."""
-    r_lo, r_hi = params.r_range
-    s_lo, s_hi = params.s_range
+    p_bound, q_bound = params.p_bound, params.q_bound
+    # the largest positive r*s sits at a corner of the (r, s) box
+    k_max = min(
+        max(params.r_range[0] * params.s_range[0], params.r_range[1] * params.s_range[1]),
+        p_bound * q_bound + 1,
+    )
+    bound = max(p_bound, q_bound)
     mu_cache: dict[BrieskornTriple, int] = {}
     records = []
-    for p, q, product in _pm1_solutions(_signed(params.p_bound), _signed(params.q_bound)):
-        for r in range(r_lo, r_hi + 1):
-            if r == 0 or product % r:
+    for k in range(1, k_max + 1):
+        pairs = None
+        for x, y in _unit_solutions(k, bound):
+            signs = [
+                (p, q)
+                for a, b in ((x, y), (y, x))
+                if a <= p_bound and b <= q_bound
+                for p, q in ((a, -b), (-a, b))
+            ]
+            if not signs:
                 continue
-            s = product // r
-            if s == 0 or not s_lo <= s <= s_hi:
-                continue
-            rec = _make_record(p, q, r, s, mu_cache)
-            assert abs(rec.coefficient) == 1
-            records.append(rec)
+            if pairs is None:
+                pairs = _factor_pairs(k, params.r_range, params.s_range)
+            if not pairs:
+                break
+            # triple, all_odd and mu depend only on {k, x, y}
+            base = _make_record(*signs[0], *pairs[0], mu_cache)
+            for p, q in signs:
+                for r, s in pairs:
+                    rec = ScanRecord(p, q, r, s, base.triple, base.all_odd, base.mu)
+                    assert abs(rec.coefficient) == 1
+                    records.append(rec)
     records.sort(key=lambda rec: rec.sort_key)
     return records
 

@@ -2,8 +2,10 @@ import re
 
 import pytest
 
+from conftest import coprime_triples
 from plumbcalc import (
     DEFAULT_SCAN_PARAMS,
+    BrieskornTriple,
     candidate_triple,
     canonical_form,
     parse_graph,
@@ -270,6 +272,12 @@ def test_scan_tiny_bounds_zero_hits(capsys):
     assert "hit" not in out
 
 
+def test_scan_billion_box(capsys):
+    code, out, _ = run(capsys, "scan", "--p-bound", "1000000000", "--q-bound", "1000000000")
+    assert code == 0
+    assert out.startswith("records 7616\n")
+
+
 def test_scan_empty_range_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--s-range", "0", "0")
     assert code == 2 and "empty" in err
@@ -349,8 +357,9 @@ def test_check_5_9_13(capsys):
 
 
 def test_check_witness_for_every_scanned_triple():
-    # scan_range and _surgery_witness share the +-1 solver; every triple the
-    # default scan extracts must get a witness that extracts it back
+    # scan_range and _surgery_witness rest on the same lemma (opposite-signed
+    # p, q and r*s >= 1); every triple the default scan extracts must get a
+    # witness that extracts it back
     triples = {rec.triple for rec in scan_range(DEFAULT_SCAN_PARAMS) if rec.triple}
     assert len(triples) == 51
     for t in triples:
@@ -358,6 +367,35 @@ def test_check_witness_for_every_scanned_triple():
         assert witness is not None
         assert abs(surgery_coefficient(*witness)) == 1
         assert candidate_triple(*witness) == t
+
+
+def four_sign_witness(t):
+    """The search over (p, q) in {(+-a, -+b)}, b-a orders and each index as
+    r*s that the witness reduces to: the oracle for it."""
+    idx = t.indices
+    for rs_pos in range(3):
+        rest = [idx[i] for i in range(3) if i != rs_pos]
+        for pv, qv in (rest, rest[::-1]):
+            for p in (pv, -pv):
+                for q in (qv, -qv):
+                    square = (p + q) ** 2
+                    for target in (1, -1):
+                        num = target - p * q
+                        if num % square == 0 and abs(num // square) == idx[rs_pos]:
+                            product = num // square
+                            return (p, q, 1, product) if product > 0 else (p, q, -1, -product)
+    return None
+
+
+def test_witness_matches_four_sign_search():
+    triples = coprime_triples(2, 40)
+    found = 0
+    for a1, a2, a3 in triples:
+        t = BrieskornTriple(a1, a2, a3)
+        witness = _surgery_witness(t)
+        assert witness == four_sign_witness(t)
+        found += witness is not None
+    assert found > 0
 
 
 def test_check_fails_on_even_triple(capsys):
@@ -422,6 +460,23 @@ def test_trace_files_end_with_canonical_d4_state(capsys, tmp_path):
         forms.append(canonical_form(g))
     assert canonical_form(fixture_graph("d4")) in forms
     assert g.is_empty
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--p-bound", "5", "--q-bound", "5", "--out", "{missing}/x"],
+        ["plumb", "3", "5", "7", "--out", "{missing}/x.graph"],
+        ["reduce", "d3", "--trace", "{missing}/t"],
+    ],
+    ids=["scan", "plumb", "reduce"],
+)
+def test_unwritable_output_file_exits_2(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_mu_disagreement_exits_3(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from plumbcalc import (
     BrieskornTriple,
+    ScanRecord,
     DomainError,
     HypothesisError,
     ScanParams,
@@ -15,6 +16,7 @@ from plumbcalc import (
     rohlin_from_signature,
     scan_range,
 )
+from plumbcalc.scan import _unit_solutions
 
 
 def coefficient_oracle(p, q, r, s):
@@ -41,6 +43,48 @@ def naive_scan(params):
                         hits.append((p, q, r, s))
     hits.sort(key=lambda t: (abs(t[0]), abs(t[1]), t[2], t[3], t[0], t[1]))
     return hits
+
+
+def pair_scan(params):
+    """The (p, q) pair loop: for each coprime p, q in the box and each target
+    +-1, r*s = (target - p*q) / (p+q)^2 when that divides, then every r in
+    its range.  Cost grows with the area of the box; the oracle for boxes the
+    quadruple loop cannot afford."""
+    def signed(bound):
+        return [x for m in range(2, bound + 1) for x in (-m, m)]
+
+    r_lo, r_hi = params.r_range
+    s_lo, s_hi = params.s_range
+    mu_cache = {}
+    records = []
+    for p in signed(params.p_bound):
+        for q in signed(params.q_bound):
+            if gcd(p, q) != 1:
+                continue
+            square = (p + q) ** 2
+            for target in (1, -1):
+                num = target - p * q
+                if num % square:
+                    continue
+                product = num // square
+                for r in range(r_lo, r_hi + 1):
+                    if r == 0 or product % r:
+                        continue
+                    s = product // r
+                    if s == 0 or not s_lo <= s <= s_hi:
+                        continue
+                    if abs(r * s) < 2:
+                        records.append(ScanRecord(p, q, r, s, None, None, None))
+                        continue
+                    t = candidate_triple(p, q, r, s)
+                    mu = None
+                    if all_odd(t):
+                        if t not in mu_cache:
+                            mu_cache[t] = rohlin_from_signature(t)
+                        mu = mu_cache[t]
+                    records.append(ScanRecord(p, q, r, s, t, all_odd(t), mu))
+    records.sort(key=lambda rec: rec.sort_key)
+    return records
 
 
 def test_coefficient_examples():
@@ -151,3 +195,62 @@ def test_tiny_bounds_have_no_all_odd_hits():
     assert records  # there are coefficient +-1 hits...
     assert all_odd_mu1_triples(records) == []  # ...but none all-odd
     assert all(not rec.all_odd for rec in records if rec.triple is not None)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ScanParams(p_bound=60, q_bound=57, r_range=(-1000, 1000), s_range=(-1000, 1000)),
+        ScanParams(p_bound=250, q_bound=247, r_range=(-20, 20), s_range=(-20, 20)),
+        ScanParams(p_bound=17, q_bound=90, r_range=(-7, 30), s_range=(-12, 3)),
+        ScanParams(p_bound=90, q_bound=8, r_range=(2, 9), s_range=(-4, 40)),
+        # r*s = 13*12 + 1 = p_bound*q_bound + 1, the largest k that can hit
+        ScanParams(p_bound=13, q_bound=12, r_range=(-200, 200), s_range=(-200, 200)),
+    ],
+    ids=["narrow", "wide", "asymmetric-q", "asymmetric-p", "largest-k"],
+)
+def test_scan_matches_pair_scan(params):
+    records = scan_range(params)
+    assert records
+    assert records == pair_scan(params)
+
+
+def test_scan_one_signed_ranges():
+    # opposite-signed r and s give r*s < 0, which never yields +-1
+    params = ScanParams(p_bound=60, q_bound=60, r_range=(1, 40), s_range=(-40, -1))
+    assert scan_range(params) == pair_scan(params) == []
+    params = ScanParams(p_bound=60, q_bound=60, r_range=(-30, -1), s_range=(-30, -1))
+    records = scan_range(params)
+    assert records and all(rec.r < 0 and rec.s < 0 for rec in records)
+    assert records == pair_scan(params)
+
+
+def test_unit_solutions_match_brute_force():
+    bound = 300
+    expected = {}
+    for x in range(3, bound + 1):
+        for y in range(2, x):
+            if gcd(x, y) != 1:
+                continue
+            square = (x - y) ** 2
+            for target in (1, -1):
+                if (x * y + target) % square == 0:
+                    expected.setdefault((x * y + target) // square, set()).add((x, y))
+    assert len(expected) > 900
+    for k in range(1, max(expected) + 2):
+        got = list(_unit_solutions(k, bound))
+        assert len(got) == len(set(got))
+        assert set(got) == expected.get(k, set()), k
+
+
+def test_large_box_scan():
+    # |p|, |q| <= 10^9: out of reach of any loop over the (p, q) box
+    records = scan_range(ScanParams(10**9, 10**9, (-20, 20), (-20, 20)))
+    assert all(abs(rec.coefficient) == 1 for rec in records)
+    keys = [rec.sort_key for rec in records]
+    assert keys == sorted(keys)
+    assert len(records) == 7616
+    assert len({rec.triple for rec in records if rec.all_odd}) == 111
+    small = ScanParams(600, 600, (-20, 20), (-20, 20))
+    restricted = [rec for rec in records if abs(rec.p) <= 600 and abs(rec.q) <= 600]
+    assert restricted == scan_range(small)

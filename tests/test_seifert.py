@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from plumbcalc import (
     star_plumbing,
 )
 from plumbcalc.fixtures import fixture_graph
+from plumbcalc.seifert import _casson_signature, _dedekind_sum
 
 
 def brute_signature_fractions(a1, a2, a3):
@@ -166,3 +168,29 @@ def test_cross_method_mu_agreement_small_sweep():
         g = star_plumbing(brieskorn_seifert(t))
         assert abs(determinant(linking_matrix(g))) == 1
         assert rohlin_from_signature(t) == rohlin_mu_bar(g)
+
+
+def test_dedekind_sum_matches_definition():
+    def saw(x):
+        return Fraction(0) if x.denominator == 1 else x - x.numerator // x.denominator - Fraction(1, 2)
+
+    for k in range(1, 30):
+        for h in range(-k, 2 * k):
+            if gcd(h, k) == 1:
+                direct = sum(saw(Fraction(i, k)) * saw(Fraction(h * i, k)) for i in range(1, k))
+                assert _dedekind_sum(h, k) == direct, (h, k)
+
+
+def test_casson_signature_equals_lattice_counts():
+    # even indices included: the formula needs no parity
+    for a1, a2, a3 in coprime_triples(2, 40):
+        t = BrieskornTriple(a1, a2, a3)
+        assert _casson_signature(t) == brieskorn_signature_fast(t), t.indices
+    for a1, a2, a3 in coprime_triples(2, 15):
+        t = BrieskornTriple(a1, a2, a3)
+        assert _casson_signature(t) == brieskorn_signature(t), t.indices
+
+
+def test_casson_signature_large_triple():
+    # the value of the O(a1*a2) lattice count at (1009, 1013, 1019)
+    assert _casson_signature(BrieskornTriple(1009, 1013, 1019)) == -347178080
