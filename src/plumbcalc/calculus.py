@@ -83,20 +83,10 @@ def blow_down(g: PlumbingGraph, v: str) -> PlumbingGraph:
     nbrs = g.neighbors(v)
     if len(nbrs) > 2:
         raise MoveError(f"cannot blow down {v!r}: valence {len(nbrs)} > 2")
-    new_edges = []
-    if len(nbrs) == 2:
-        u, w = nbrs
-        if g.has_edge(u, w):
-            # Never reachable from a forest (it would need a triangle), but
-            # the move is rejected rather than modeled as a signed edge.
-            raise MoveError(
-                f"cannot blow down {v!r}: neighbors {u!r}, {w!r} already adjacent"
-            )
-        new_edges.append((u, w))
     return g.replace(
         drop=(v,),
         reweight={n: g.weight(n) - eps for n in nbrs},
-        add_edges=new_edges,
+        add_edges=[nbrs] if len(nbrs) == 2 else (),
     )
 
 
@@ -245,51 +235,47 @@ class MoveTrace:
 # -- canonical form ------------------------------------------------------------
 
 
-def _encode_rooted(g: PlumbingGraph, root: str) -> str:
-    """Encoding of root's tree, rooted at root.  Iterative, so deep trees
-    cannot exhaust the stack: a BFS order, then codes built children first."""
-    adj, weight = g._adjacency, g._weight_map
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for v in order:  # grows while iterated: a BFS
-        for c in adj[v]:
-            if c != parent[v]:
-                parent[c] = v
-                order.append(c)
-    codes: dict[str, str] = {}
-    for v in reversed(order):
-        children = sorted([codes.pop(c) for c in adj[v] if c != parent[v]])
-        codes[v] = f"({weight[v]}{''.join(children)})"
-    return codes[root]
-
-
-def _component_centers(g: PlumbingGraph, comp: frozenset[str]) -> list[str]:
-    """The 1 or 2 central vertices of a tree, by repeated leaf stripping."""
-    remaining = set(comp)
-    degree = {v: sum(1 for n in g.neighbors(v) if n in comp) for v in comp}
-    layer = [v for v in remaining if degree[v] <= 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for n in g.neighbors(v):
-                if n in remaining:
-                    degree[n] -= 1
-                    if degree[n] == 1:
-                        nxt.append(n)
-        layer = nxt
-    return sorted(remaining)
-
-
 def canonical_form(g: PlumbingGraph) -> str:
     """Label-invariant encoding of a weighted forest: each tree is encoded
-    rooted at its center (both roots tried for bicentral trees, smaller
-    string kept), components sorted.  Equal strings iff the graphs are
-    isomorphic as weighted forests."""
+    rooted at its center, and the trees' codes are sorted and joined by
+    "|".  Equal strings iff the graphs are isomorphic as weighted forests.
+
+    One leaf-peeling pass over the whole forest: each round encodes the
+    vertices with at most one neighbor left unencoded as
+    "(weight" + sorted codes of their encoded neighbors + ")" and pushes
+    each code to that one neighbor, which joins the next round once it has
+    one neighbor left.  A vertex with none left is a tree's single center.
+    Two adjacent vertices of one round are a bicentral tree's centers: each
+    is encoded once more with the other as an extra child, and the smaller
+    string is kept.  Every vertex is reached because every PlumbingGraph
+    is a forest; on a cycle the pass would stall.
+    """
+    weight, adj = g._weight_map, g._adjacency
+    left = {v: len(ns) for v, ns in adj.items()}  # neighbors not yet encoded
+    children: dict[str, list[str]] = {v: [] for v in adj}
+    code: dict[str, str] = {}
     parts = []
-    for comp in g.components():
-        centers = _component_centers(g, comp)
-        parts.append(min(_encode_rooted(g, c) for c in centers))
+    layer = [v for v, k in left.items() if k <= 1]
+    while layer:
+        up = {v: next((n for n in adj[v] if n not in code), None) for v in layer}
+        for v in layer:
+            code[v] = f"({weight[v]}{''.join(sorted(children[v]))})"
+        nxt = []
+        for v, u in up.items():
+            if u is None:  # a single center
+                parts.append(code[v])
+            elif u in up:  # a bicentral pair, met once from each side
+                if v < u:
+                    parts.append(min(
+                        f"({weight[a]}{''.join(sorted([*children[a], code[b]]))})"
+                        for a, b in ((v, u), (u, v))
+                    ))
+            else:
+                children[u].append(code[v])
+                left[u] -= 1
+                if left[u] == 1:
+                    nxt.append(u)
+        layer = nxt
     return "|".join(sorted(parts))
 
 

@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     GraphFormatError,
     MoveError,
+    ParityError,
     PlumbcalcError,
 )
 from .fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
@@ -119,7 +120,12 @@ def cmd_invariants(args) -> int:
     print(f"signature {sig}")
     if det % 2:
         print(f"wu {','.join(sorted(wu)) or '-'}")
-        mu = _mu_bar(g, sig, wu)
+        try:
+            mu = _mu_bar(g, sig, wu)
+        except ParityError:
+            if abs(det) == 1:  # 8 divides mu-bar of every homology sphere
+                raise
+            return EXIT_OK
         print(f"mu-bar {mu}")
         if abs(det) == 1:
             print(f"rohlin {mu // 8 % 2}")
@@ -143,11 +149,11 @@ def cmd_mu(args) -> int:
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     verdict, trace = reduce_to_s3(g, budget=args.budget, blow_up_depth=args.blow_up_depth)
-    print(str(verdict))
     if verdict.status is Verdict.S3 and args.trace:
         Path(args.trace).write_text(
             format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])
         )
+    print(str(verdict))
     return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE
 
 

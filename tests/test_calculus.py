@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -179,6 +180,114 @@ def test_canonical_form_random_relabeling():
         g = random_forest(rng, max_vertices=9)
         h = g.relabeled(random_relabeling(rng, g))
         assert canonical_form(h) == canonical_form(g)
+
+
+def encode_rooted(g, root):
+    """Code of root's tree rooted at root: a BFS order, then codes built
+    children first."""
+    adj, weight = g._adjacency, g._weight_map
+    parent = {root: None}
+    order = [root]
+    for v in order:  # grows while iterated: a BFS
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    codes = {}
+    for v in reversed(order):
+        children = sorted([codes.pop(c) for c in adj[v] if c != parent[v]])
+        codes[v] = f"({weight[v]}{''.join(children)})"
+    return codes[root]
+
+
+def tree_centers(g, comp):
+    """The 1 or 2 central vertices of a tree, by repeated leaf stripping."""
+    remaining = set(comp)
+    degree = {v: sum(1 for n in g.neighbors(v) if n in comp) for v in comp}
+    layer = [v for v in remaining if degree[v] <= 1]
+    while len(remaining) > 2:
+        nxt = []
+        for v in layer:
+            remaining.discard(v)
+            for n in g.neighbors(v):
+                if n in remaining:
+                    degree[n] -= 1
+                    if degree[n] == 1:
+                        nxt.append(n)
+        layer = nxt
+    return sorted(remaining)
+
+
+def three_pass_form(g):
+    """The oracle for canonical_form: split into components, find each
+    tree's centers, encode the tree once per center and keep the smaller."""
+    return "|".join(sorted(
+        min(encode_rooted(g, c) for c in tree_centers(g, comp)) for comp in g.components()
+    ))
+
+
+def test_canonical_form_matches_three_pass_oracle(fixtures):
+    rng = random.Random(4242)
+    graphs = list(fixtures.values())
+    graphs += [path_graph(*(rng.choice((-2, -1, 0, 3)) for _ in range(n))) for n in range(1, 41)]
+    graphs += [random_forest(rng, max_vertices=m) for m in (3, 9, 25, 60) for _ in range(750)]
+    shapes = {"isolated": 0, "pair": 0, "bicentral": 0, "forest": 0}
+    for g in graphs:
+        assert canonical_form(g) == three_pass_form(g)
+        comps = g.components()
+        shapes["isolated"] += any(len(c) == 1 for c in comps)
+        shapes["pair"] += any(len(c) == 2 for c in comps)
+        shapes["bicentral"] += any(len(c) > 2 and len(tree_centers(g, c)) == 2 for c in comps)
+        shapes["forest"] += len(comps) > 1
+    assert min(shapes.values()) >= 300, shapes
+
+
+def brute_force_label(g):
+    """The least image of g under every bijection of its ids onto 0..n-1:
+    equal for two graphs iff an id permutation maps one onto the other."""
+    best = None
+    for perm in permutations(range(len(g))):
+        pos = dict(zip(g.ids, perm))
+        label = (
+            tuple(w for _, w in sorted((pos[v], w) for v, w in g.vertices)),
+            tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges)),
+        )
+        if best is None or label < best:
+            best = label
+    return best
+
+
+def test_canonical_form_separates_exactly_the_isomorphism_classes():
+    # few weights and at most 6 vertices, so many graphs are isomorphic
+    rng = random.Random(606)
+    graphs = []
+    for _ in range(400):
+        ids = [f"v{i}" for i in range(rng.randint(1, 6))]
+        rng.shuffle(ids)
+        edges = [(v, ids[rng.randrange(i)]) for i, v in enumerate(ids) if i and rng.random() < 0.7]
+        graphs.append(PlumbingGraph.build({v: rng.choice((-2, -1)) for v in ids}, edges))
+    pairs = {(canonical_form(g), brute_force_label(g)) for g in graphs}
+    forms = {form for form, _ in pairs}
+    labels = {label for _, label in pairs}
+    assert len(forms) == len(labels) == len(pairs)  # form <-> class, one to one
+    assert len(pairs) < len(graphs) // 2
+
+
+def test_canonical_form_makes_no_components_call(fixtures, monkeypatch):
+    calls = []
+    original = PlumbingGraph.components
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PlumbingGraph, "components", counted)
+    rng = random.Random(31)
+    for g in [*fixtures.values(), *(random_forest(rng, max_vertices=12) for _ in range(20))]:
+        canonical_form(g)
+    assert calls == []
+    fixtures["d2"].components()
+    assert calls == [fixtures["d2"]]  # the counter is live
 
 
 # -- reducer ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,16 @@ def test_invariants_long_path(capsys, tmp_path):
         "vertices 3000\nedges 2999\ncomponents 1\ndet 3001\nsignature -3000\n"
         "wu -\nmu-bar -3000\n"
     )
+
+
+def test_invariants_omits_mu_bar_not_divisible_by_8(capsys, tmp_path):
+    # boundary L(3, 1): odd det, so a Wu class, but mu-bar -2 is no multiple
+    # of 8 and has no Rohlin meaning
+    f = tmp_path / "l31.graph"
+    f.write_text("vertex a -2\nvertex b -2\nedge a b\n")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 0 and err == ""
+    assert out == "vertices 2\nedges 1\ncomponents 1\ndet 3\nsignature -2\nwu -\n"
 
 
 # -- mu ---------------------------------------------------------------------------
@@ -473,8 +485,9 @@ def test_trace_files_end_with_canonical_d4_state(capsys, tmp_path):
 )
 def test_unwritable_output_file_exits_2(capsys, tmp_path, argv):
     missing = tmp_path / "no-such-dir"
-    code, _, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    code, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -507,3 +520,40 @@ def test_trace_parser_rejects_graph_lines_after_moves():
         parse_trace("vertex a -1\nblowdown a\nvertex b -2\n")
     assert "doc" not in str(excinfo.value)
     assert ":3:" in str(excinfo.value)
+
+
+# -- README tour ------------------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_tour():
+    """(argv, shown stdout) for each "$ plumbcalc ..." line of the README's
+    console block; a command's output is the non-blank lines up to the next
+    command."""
+    block = README.read_text().split("```console\n", 1)[1].split("```", 1)[0]
+    tour = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            tour.append((shlex.split(line[2:], comments=True)[1:], []))
+        elif line and tour:
+            tour[-1][1].append(line + "\n")
+    return [(argv, "".join(shown)) for argv, shown in tour]
+
+
+def test_readme_tour_stdout(capsys, tmp_path, monkeypatch):
+    # in order and in one directory: the reduce --trace file feeds replay-trace
+    monkeypatch.chdir(tmp_path)
+    tour = readme_tour()
+    assert len(tour) == 10
+    elided = []
+    for argv, shown in tour:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", argv
+        if shown or not out:
+            assert out == shown, argv
+        else:
+            parse_graph(out)
+            elided.append(argv)
+    # the tour shows that plumb prints a graph file, not the file itself
+    assert elided == [["plumb", "3", "13", "23"]]
