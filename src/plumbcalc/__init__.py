@@ -2,7 +2,7 @@
 
 Negative continued fractions, Brieskorn/Seifert star plumbings, linking
 matrix invariants (determinant, signature, Wu class, mu-bar, Rohlin),
-a blow-down/cancellation reducer certifying diagrams as S^3, and a
+a plumbing-calculus reducer certifying diagrams as S^3, and a
 surgery-coefficient scan.  Everything is exact; no floating point.
 """
 
@@ -13,6 +13,7 @@ from .calculus import (
     MoveTrace,
     ReductionVerdict,
     Verdict,
+    absorb_zero,
     applicable_moves,
     apply_move,
     blow_down,
@@ -20,6 +21,7 @@ from .calculus import (
     cancel_zero_pair,
     canonical_form,
     reduce_to_s3,
+    split_zero,
 )
 from .errors import (
     DomainError,
@@ -110,6 +112,8 @@ __all__ = [
     "blow_down",
     "blow_up",
     "cancel_zero_pair",
+    "absorb_zero",
+    "split_zero",
     "applicable_moves",
     "apply_move",
     "reduce_to_s3",

@@ -1,18 +1,30 @@
-"""Plumbing-calculus rewriting: blow-downs, zero-pair cancellation, and a
-breadth-first reducer that certifies diagrams as S^3.
+"""Plumbing-calculus rewriting: W. Neumann's moves on weighted forests, and
+a reducer that certifies diagrams as S^3 with replayable move traces.
 
 Moves never mutate; each returns a freshly validated graph, so forest and
 simplicity invariants hold for every intermediate diagram by construction.
-Both moves preserve |det| of the linking matrix (for a cancelled zero pair,
-the removed component's own 2x2 determinant is -1, i.e. the summand was
-S^3), so the reducer rejects |det| != 1 inputs immediately and never needs
-to re-check determinants during the search.
+Every move preserves |det| of the linking matrix, so the reducer rejects
+|det| != 1 inputs immediately and never re-checks determinants.  The moves
+are the blow-down and its inverse, the blow-up; W. Neumann's 0-chain
+absorption and splitting ("A calculus for plumbing applied to the topology
+of complex surface singularities and degenerating complex curves", Trans.
+AMS 268, 1981), of which the zero-pair cancellation is the case of a
+two-vertex component; and the chain rewrite, which is e - 1 blow-ups
+followed by one blow-down and so needs no move of its own.
 
-The search is breadth-first over all applicable moves with canonical-form
-memoization.  Move enumeration is ordered (blow-downs by (valence, id),
-then cancellations by edge ids); together with FIFO expansion this makes
-verdicts and traces deterministic for a fixed input and budget.  Blow-ups
-(the inverse insertions) are excluded from the search unless a positive
+The reducer first runs one deterministic greedy pass on a private mutable
+copy of the weights and adjacency, building no graph per move: it applies
+blow-downs in (valence, id) order while any applies, then a zero move
+(splitting before absorption, by id), then a chain rewrite, and repeats.
+A pass that reaches the empty diagram is an S3 verdict, and its trace is
+replay-verified through ``apply_move`` like every other.
+
+When the pass stops short, the reducer falls back to a breadth-first search
+from the start diagram over blow-downs and cancellations, with
+canonical-form memoization.  Move enumeration is ordered (blow-downs by
+(valence, id), then cancellations by edge ids); together with FIFO
+expansion this makes verdicts and traces deterministic for a fixed input
+and budget.  Blow-ups are excluded from the search unless a positive
 blow-up depth is requested: without them the state space is finite (every
 move drops the vertex count), so exhausting it without reaching the empty
 graph is an honest Unknown, as is exceeding the state budget.
@@ -23,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from .errors import DomainError, MoveError
 from .graphs import PlumbingGraph
@@ -38,6 +51,8 @@ __all__ = [
     "blow_up",
     "blow_up_moves",
     "cancel_zero_pair",
+    "absorb_zero",
+    "split_zero",
     "applicable_moves",
     "apply_move",
     "reduce_to_s3",
@@ -54,12 +69,12 @@ DEFAULT_BUDGET = 100_000  # canonical states admitted to the memo table
 class Move:
     """One calculus move.
 
-    kind "blowdown" carries (vertex,); kind "cancel" carries the (u, v)
-    edge of a two-vertex component; kind "blowup" (only emitted when the
-    reducer's blow-up depth is raised above its default 0) carries the new
-    vertex id followed by 0..2 attachment vertices, with the blown weight in
-    ``weight``.  ``pre`` optionally records the weights of the touched
-    vertices at recording time; replay re-checks it (and all move
+    kinds "blowdown", "absorb" and "split" carry (vertex,), the vertex
+    blown down or the weight-0 vertex absorbed or split off; kind "cancel"
+    carries the (u, v) edge of a two-vertex component; kind "blowup" carries
+    the new vertex id followed by 0..2 attachment vertices, with the blown
+    weight in ``weight``.  ``pre`` optionally records the weights of the
+    touched vertices at recording time; replay re-checks it (and all move
     preconditions) when present."""
 
     kind: str
@@ -140,6 +155,36 @@ def cancel_zero_pair(g: PlumbingGraph, edge: tuple[str, str]) -> PlumbingGraph:
     return g.replace(drop=(u, v))
 
 
+def absorb_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
+    """0-chain absorption: a weight-0 vertex of valence 2 goes away and its
+    neighbors u < w merge into u, of weight w_u + w_w, which takes over w's
+    other edges.  |det| is unchanged."""
+    if g.weight(v) != 0:
+        raise MoveError(f"cannot absorb {v!r}: weight {g.weight(v)} is not 0")
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 2:
+        raise MoveError(f"cannot absorb {v!r}: valence {len(nbrs)} is not 2")
+    u, w = nbrs
+    return g.replace(
+        drop=(v, w),
+        reweight={u: g.weight(u) + g.weight(w)},
+        add_edges=[(u, x) for x in g.neighbors(w) if x != v],
+    )
+
+
+def split_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
+    """Splitting: a weight-0 leaf and its neighbor both go away, and the
+    neighbor's other branches become separate components.  |det| is
+    unchanged: expanding along the leaf's row leaves +-det of the rest.
+    ``cancel_zero_pair`` is the case where the neighbor is a leaf too."""
+    if g.weight(v) != 0:
+        raise MoveError(f"cannot split at {v!r}: weight {g.weight(v)} is not 0")
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 1:
+        raise MoveError(f"cannot split at {v!r}: valence {len(nbrs)} is not 1")
+    return g.replace(drop=(v, *nbrs))
+
+
 def applicable_moves(g: PlumbingGraph) -> list[Move]:
     """Every applicable move, in the fixed deterministic order the reducer
     searches them: blow-downs sorted by (valence, vertex id), so leaves come
@@ -207,6 +252,12 @@ def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
     if move.kind == "cancel":
         u, v = move.ids
         return cancel_zero_pair(g, (u, v))
+    if move.kind == "absorb":
+        (v,) = move.ids
+        return absorb_zero(g, v)
+    if move.kind == "split":
+        (v,) = move.ids
+        return split_zero(g, v)
     if move.kind == "blowup":
         if move.weight is None:
             raise MoveError("blow-up move carries no weight")
@@ -303,17 +354,20 @@ class ReductionVerdict:
 def reduce_to_s3(
     g: PlumbingGraph, budget: int = DEFAULT_BUDGET, blow_up_depth: int = 0
 ) -> tuple[ReductionVerdict, MoveTrace | None]:
-    """Search for a move sequence from g to the empty diagram.
+    """Find a move sequence from g to the empty diagram.
 
     Returns (S3, trace) when found; the trace is replay-verified before it
     is returned; (NOT-HS(|det|), None) immediately when |det| != 1; and
-    (UNKNOWN, None) when the reachable state space is exhausted (or the
-    memo budget is hit, distinguished by ``budget_exhausted``).
+    (UNKNOWN, None) when neither the greedy pass nor the search reaches the
+    empty diagram: the search's reachable state space is exhausted, or its
+    memo budget is hit, distinguished by ``budget_exhausted``.
 
-    With ``blow_up_depth`` > 0 the search may also insert up to that many
-    +-1 vertices along any path.  Blow-downs and cancellations alone keep
-    the state space finite; blow-ups make Unknown-by-budget the common
-    negative outcome instead of Unknown-by-exhaustion.
+    The greedy pass runs first and visits at most ``budget`` diagrams.  The
+    search runs only when the pass stops short.  With ``blow_up_depth`` > 0
+    it may also insert up to that many +-1 vertices along any path.
+    Blow-downs and cancellations alone keep its state space finite;
+    blow-ups make Unknown-by-budget the common negative outcome instead of
+    Unknown-by-exhaustion.
     """
     if budget < 1:
         raise DomainError("budget must be positive")
@@ -322,7 +376,138 @@ def reduce_to_s3(
     det_abs = abs(_graph_walk(g)[1])
     if det_abs != 1:
         return ReductionVerdict(Verdict.NOT_HOMOLOGY_SPHERE, det_abs=det_abs), None
+    trace = _greedy_pass(g, budget)
+    if trace.end.is_empty:
+        trace.replay()
+        return ReductionVerdict(Verdict.S3), trace
+    return _search(g, budget, blow_up_depth)
 
+
+def _greedy_pass(g: PlumbingGraph, budget: int) -> MoveTrace:
+    """Apply moves to a private copy of g until none applies, or until one
+    more would take the pass past ``budget`` diagrams (the start counts as
+    one).  Each step takes the first blow-down by (valence, id); else the
+    first zero move by (valence, id), so splits come before absorptions;
+    else the first chain rewrite by (valence, id).  A split whose neighbor
+    is a leaf is recorded as a cancel.  Returns the moves made, ending
+    wherever the pass stopped.
+
+    Termination: let Phi be the sum over the vertices of max(1, w + 3).  A
+    blow-down of -1 raises at most two neighbors' terms by 1 while its own
+    term 2 goes; a blow-down of +1 lowers Phi by at least 4, an absorption
+    by at least 3 (the merged term is at most the two it replaces, less 3,
+    or 1), a split by at least 4.  So every step but a chain rewrite drops
+    a vertex and does not raise Phi.  A chain rewrite of weight e adds
+    e - 2 <= Phi - 5 vertices, but its term e + 3 becomes e - 1 terms of 1
+    and its neighbors' terms do not rise, so Phi drops by at least 4 and
+    Phi (Phi + 1) / 2 by at least 4 Phi - 6.  Hence n + Phi (Phi + 1) / 2
+    falls at every step, and its start value bounds the number of steps.
+    """
+    weight = dict(g._weight_map)
+    adj = {v: set(ns) for v, ns in g._adjacency.items()}
+    moves: list[Move] = []
+    fresh = (f"z{k}" for k in count() if f"z{k}" not in g._weight_map)
+
+    def pre(*vs):
+        return tuple(sorted((v, weight[v]) for v in vs))
+
+    def drop(v):
+        for n in adj.pop(v):
+            adj[n].discard(v)
+        del weight[v]
+
+    def blowdown(v):
+        eps, nbrs = weight[v], sorted(adj[v])
+        moves.append(Move("blowdown", (v,), pre=pre(v, *nbrs)))
+        drop(v)
+        for n in nbrs:
+            weight[n] -= eps
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+
+    def blowup(z, v, u):  # a -1 vertex z splits the edge v-u
+        moves.append(Move("blowup", (z, v, u), weight=-1, pre=pre(v, u)))
+        adj[v].remove(u)
+        adj[u].remove(v)
+        adj[z] = {v, u}
+        adj[v].add(z)
+        adj[u].add(z)
+        weight[z], weight[v], weight[u] = -1, weight[v] - 1, weight[u] - 1
+
+    def zero_move(v):
+        nbrs = sorted(adj[v])
+        if len(nbrs) == 2:
+            u, w = nbrs
+            moves.append(Move("absorb", (v,), pre=pre(v, u, w)))
+            drop(v)
+            weight[u] += weight[w]
+            for x in adj[w]:
+                adj[x].add(u)
+                adj[u].add(x)
+            drop(w)
+            return
+        (u,) = nbrs
+        if len(adj[u]) == 1:
+            moves.append(Move("cancel", tuple(sorted((u, v))), pre=pre(u, v)))
+        else:
+            moves.append(Move("split", (v,), pre=pre(v, u)))
+        drop(v)
+        drop(u)
+
+    phi = sum(max(1, w + 3) for w in weight.values())
+    bound = len(weight) + phi * (phi + 1) // 2
+    steps = 0
+    while True:
+        candidates = [
+            (rank, len(adj[v]), v)
+            for v, w in weight.items()
+            if (rank := _pass_rank(w, len(adj[v]))) is not None
+        ]
+        if not candidates:
+            break
+        rank, _, v = min(candidates)
+        e = weight[v]
+        if len(moves) + (e if rank == 2 else 1) >= budget:
+            break
+        steps += 1
+        assert steps <= bound, "the reduction measure bounds the greedy pass"
+        if rank == 0:
+            blowdown(v)
+        elif rank == 1:
+            zero_move(v)
+        else:  # chain rewrite: e - 1 blow-ups next to v bring it to +1
+            u = min(adj[v])
+            for _ in range(e - 1):
+                z = next(fresh)
+                blowup(z, v, u)
+                u = z
+            blowdown(v)
+    end = PlumbingGraph.build(weight, [(u, x) for u in adj for x in adj[u] if u < x])
+    return MoveTrace(start=g, moves=tuple(moves), end=end)
+
+
+def _pass_rank(w: int, valence: int) -> int | None:
+    """The greedy pass's move class at a vertex: 0 blow-down, 1 zero move
+    (split or absorption), 2 chain rewrite, None when none applies."""
+    if valence > 2:
+        return None
+    if w in (1, -1):
+        return 0
+    if valence == 0:
+        return None  # an isolated 0 or |w| >= 2 vertex: |det| != 1
+    if w == 0:
+        return 1
+    return 2 if w >= 2 else None
+
+
+def _search(
+    g: PlumbingGraph, budget: int, blow_up_depth: int
+) -> tuple[ReductionVerdict, MoveTrace | None]:
+    """Breadth-first search from g over ``applicable_moves`` (and
+    ``blow_up_moves`` up to ``blow_up_depth`` per path) for the empty
+    diagram, admitting at most ``budget`` canonical states."""
     # BFS states are (diagram, blow-ups used); memoized per canonical form
     # and blow-up count so deeper-blow-up revisits of a diagram are pruned.
     start_key = (canonical_form(g), 0)

@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_mu)
 
-    p = sub.add_parser("reduce", help="certify a diagram as S3 by blow-downs")
+    p = sub.add_parser("reduce", help="certify a diagram as S3 by plumbing moves")
     p.add_argument("graph", help="graph file path or fixture name")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument(

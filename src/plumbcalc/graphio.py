@@ -9,12 +9,15 @@ Trace files are a graph file (the start diagram) followed by move lines, one
 move per line:
 
     blowdown <id>
+    absorb <id>
+    split <id>
     cancel <id> <id>
     blowup <weight> <id> [<id> [<id>]]
 
-(The ``blowup`` verb appears only in traces produced with the reducer's
-optional blow-up depth; default searches emit blowdown and cancel lines
-only.)
+``absorb`` and ``split`` name the weight-0 vertex of a 0-chain absorption
+or a splitting.  ``blowup`` lines come from the reducer's chain rewrite (a
+run of -1 blow-ups next to one vertex, then its blow-down) and from a search
+with a positive blow-up depth.
 
 Parsing reports the offending line for every malformed document.  This
 module checks only the format (directives, arity, integer weights, move-line
@@ -44,6 +47,9 @@ _GRAPH_LINES = {
     "edge": ("edge <id> <id>", _ForestBuilder.add_edge),
 }
 
+# Move-line verb -> number of vertex ids; ``blowup`` also takes a weight.
+_MOVE_ARITY = {"blowdown": 1, "absorb": 1, "split": 1, "cancel": 2}
+
 
 class _Parser:
     def __init__(self, text: str, source: str):
@@ -64,7 +70,7 @@ class _Parser:
             directive, args = tokens[0], tokens[1:]
             if directive in _GRAPH_LINES:
                 self.graph_line(lineno, directive, args)
-            elif directive in ("blowdown", "cancel", "blowup"):
+            elif directive in _MOVE_ARITY or directive == "blowup":
                 if not allow_moves:
                     self.fail(lineno, f"move line {directive!r} in a graph file")
                 self.move(lineno, directive, args)
@@ -96,7 +102,7 @@ class _Parser:
                 self.fail(lineno, f"blow-up weight {args[0]!r} is not an integer")
             ids = args[1:]
         else:
-            want = 1 if kind == "blowdown" else 2
+            want = _MOVE_ARITY[kind]
             if len(args) != want:
                 self.fail(lineno, f"{kind} line needs exactly {want} vertex id(s)")
             weight, ids = None, args

@@ -1,18 +1,24 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from conftest import path_graph, random_forest, random_relabeling
 from plumbcalc import (
+    DEFAULT_BUDGET,
+    BrieskornTriple,
     DomainError,
     Move,
     MoveError,
     PlumbingGraph,
     Verdict,
+    absorb_zero,
     applicable_moves,
     apply_move,
     blow_down,
+    blow_up,
+    brieskorn_seifert,
     cancel_zero_pair,
     canonical_form,
     determinant,
@@ -20,7 +26,10 @@ from plumbcalc import (
     linking_matrix,
     parse_trace,
     reduce_to_s3,
+    split_zero,
+    star_plumbing,
 )
+from plumbcalc.calculus import _greedy_pass, _search
 
 
 # -- individual moves ----------------------------------------------------------
@@ -84,6 +93,35 @@ def test_cancel_only_on_whole_component_not_sub_edge():
     g = path_graph(0, -2, 0)
     moves = applicable_moves(g)
     assert all(m.kind != "cancel" for m in moves)
+
+
+def test_absorb_zero():
+    g = PlumbingGraph.build(
+        {"a": -2, "u": 3, "x": 0, "w": -5, "b": -3, "c": -4},
+        [("a", "u"), ("u", "x"), ("x", "w"), ("w", "b"), ("w", "c")],
+    )
+    h = absorb_zero(g, "x")
+    assert dict(h.vertices) == {"a": -2, "u": -2, "b": -3, "c": -4}
+    assert h.edges == (("a", "u"), ("b", "u"), ("c", "u"))
+    with pytest.raises(MoveError):
+        absorb_zero(g, "u")  # weight 3
+    with pytest.raises(MoveError):
+        absorb_zero(path_graph(0, -2), "p0")  # a leaf: split it instead
+
+
+def test_split_zero():
+    g = PlumbingGraph.build(
+        {"x": 0, "v": 7, "a": -2, "b": -3, "c": -4},
+        [("x", "v"), ("v", "a"), ("v", "b"), ("b", "c")],
+    )
+    h = split_zero(g, "x")
+    assert dict(h.vertices) == {"a": -2, "b": -3, "c": -4}
+    assert h.edges == (("b", "c"),)
+    assert split_zero(path_graph(0, 5), "p0").is_empty  # a whole pair, as cancel
+    with pytest.raises(MoveError):
+        split_zero(g, "a")  # weight -2
+    with pytest.raises(MoveError):
+        split_zero(path_graph(-2, 0, -2), "p1")  # valence 2: absorb it instead
 
 
 def test_applicable_moves_order():
@@ -340,6 +378,10 @@ def test_reduce_budget_exhaustion(fixtures):
     verdict, trace = reduce_to_s3(fixtures["d3"], budget=2)
     assert verdict.status is Verdict.UNKNOWN
     assert verdict.budget_exhausted is True
+    # the pass visits at most budget diagrams, the start included
+    assert len(_greedy_pass(fixtures["d3"], 2).moves) == 1
+    assert len(_greedy_pass(fixtures["d3"], 8).moves) == 7
+    assert len(_greedy_pass(fixtures["d3"], 7).moves) == 6
     with pytest.raises(DomainError):
         reduce_to_s3(fixtures["d3"], budget=0)
 
@@ -353,26 +395,134 @@ def test_reduce_is_deterministic(fixtures):
 # -- randomized move invariants ---------------------------------------------------
 
 
+def chain_rewrite(g, v):
+    """The chain rewrite at v: e - 1 blow-ups of -1 next to v bring its
+    weight e to +1, and it is blown down."""
+    moves, u = [], g.neighbors(v)[0]
+    for i in range(g.weight(v) - 1):
+        moves.append(Move("blowup", (f"r{i}", v, u), weight=-1))
+        u = f"r{i}"
+    return moves + [Move("blowdown", (v,))]
+
+
+def zero_and_chain_moves(g):
+    """Every absorption, split and chain rewrite of g, each as a move list."""
+    out = []
+    for v, w in g.vertices:
+        k = g.valence(v)
+        if w == 0 and k in (1, 2):
+            out.append([Move("split" if k == 1 else "absorb", (v,))])
+        elif w >= 2 and k in (1, 2):
+            out.append(chain_rewrite(g, v))
+    return out
+
+
 def test_moves_preserve_det_and_forest():
     rng = random.Random(20260101)
-    pairs = 0
-    while pairs < 300:
+    kinds = Counter()
+    while sum(kinds.values()) < 600 or min(kinds.values()) < 60:
         g = random_forest(rng, max_vertices=9)
-        moves = applicable_moves(g)
-        if not moves:
-            continue
         det_before = abs(determinant(linking_matrix(g)))
-        for move in moves:
-            h = apply_move(g, move)
-            # PlumbingGraph.build validated simplicity/forest; double-check
-            # the forest relation explicitly
-            assert len(h.edges) == len(h) - len(h.components())
-            assert abs(determinant(linking_matrix(h))) == det_before
-            if move.kind == "cancel":
-                u, v = move.ids
+        for seq in [[m] for m in applicable_moves(g)] + zero_and_chain_moves(g):
+            h = g
+            for move in seq:
+                h = apply_move(h, move)
+                # PlumbingGraph.build validated simplicity/forest; double-check
+                # the forest relation explicitly
+                assert len(h.edges) == len(h) - len(h.components())
+                assert abs(determinant(linking_matrix(h))) == det_before
+            kind = "chain" if len(seq) > 1 else seq[0].kind
+            if kind == "cancel":
+                u, v = seq[0].ids
                 sub = [[g.weight(u), 1], [1, g.weight(v)]]
                 assert abs(determinant(sub)) == 1
-            pairs += 1
+            if kind == "chain":
+                # v becomes e - 1 vertices of weight -2; its neighbors drop by 1
+                v = seq[-1].ids[0]
+                assert len(h) == len(g) + g.weight(v) - 2
+                assert all(h.weight(n) == g.weight(n) - 1 for n in g.neighbors(v))
+            kinds[kind] += 1
+    assert set(kinds) == {"blowdown", "cancel", "absorb", "split", "chain"}
+
+
+# -- the greedy pass ------------------------------------------------------------------
+
+
+def test_pass_reduces_whatever_the_search_reduces():
+    rng = random.Random(8128)
+    spheres = found = 0
+    while spheres < 3000:
+        g = random_forest(rng, max_vertices=8)
+        if abs(determinant(linking_matrix(g))) != 1:
+            continue
+        spheres += 1
+        trace = _greedy_pass(g, DEFAULT_BUDGET)
+        assert trace.replay() == trace.end  # every pass trace replays
+        end = trace.end  # no move applies: chain weights are all <= -2
+        assert all(w <= -2 for v, w in end.vertices if end.valence(v) <= 2)
+        verdict, _ = _search(g, 5000, 0)
+        if verdict.status is Verdict.S3:
+            found += 1
+            assert trace.end.is_empty, g
+    assert found > 2500
+
+
+def test_pass_chain_rewrites_reversed_poincare_star_to_e8(fixtures):
+    # -Sigma(2,3,5): center 1, leaves 2, 3, 5.  Each leaf of weight e
+    # becomes e - 1 vertices of weight -2 and lowers the center by 1.
+    g = PlumbingGraph.build(
+        {"a": 2, "b": 3, "c": 5, "o": 1}, [("a", "o"), ("b", "o"), ("c", "o")]
+    )
+    trace = _greedy_pass(g, DEFAULT_BUDGET)
+    assert [m.kind for m in trace.moves] == (
+        ["blowup", "blowdown"] + ["blowup"] * 2 + ["blowdown"] + ["blowup"] * 4 + ["blowdown"]
+    )
+    assert canonical_form(trace.replay()) == canonical_form(fixtures["e8"])
+    assert len(_greedy_pass(g, 4).moves) == 2  # the 3-leaf's rewrite would pass 4
+
+
+def test_pass_never_empties_a_non_sphere():
+    rng = random.Random(1729)
+    checked = 0
+    while checked < 1000:
+        g = random_forest(rng, max_vertices=9)
+        if abs(determinant(linking_matrix(g))) == 1:
+            continue
+        trace = _greedy_pass(g, DEFAULT_BUDGET)
+        assert trace.replay() == trace.end
+        assert not trace.end.is_empty
+        assert reduce_to_s3(g)[0].status is Verdict.NOT_HOMOLOGY_SPHERE
+        checked += 1
+
+
+def random_blow_ups(rng, g, count):
+    for j in range(count):
+        eps = rng.choice((-1, 1))
+        if g.is_empty or rng.random() < 0.2:
+            g = blow_up(g, f"y{j}", eps)
+        elif rng.random() < 0.5 or not g.edges:
+            g = blow_up(g, f"y{j}", eps, (rng.choice(g.ids),))
+        else:
+            g = blow_up(g, f"y{j}", eps, rng.choice(g.edges))
+    return g
+
+
+def test_pass_on_blown_up_spheres_and_brieskorn_stars(fixtures):
+    rng = random.Random(3141)
+    for _ in range(300):  # blow-ups of the empty diagram: S^3
+        g = random_blow_ups(rng, PlumbingGraph.build({}), rng.randint(5, 40))
+        verdict, trace = reduce_to_s3(g)
+        assert verdict.status is Verdict.S3 and trace.end.is_empty
+    stars = [fixtures["e8"], fixtures["sigma-3-13-23"]]
+    stars += [star_plumbing(brieskorn_seifert(BrieskornTriple(*t)))
+              for t in ((2, 3, 7), (2, 5, 7), (3, 4, 5), (5, 9, 13))]
+    for star in stars:
+        for _ in range(40):  # never S^3, however blown up
+            g = random_blow_ups(rng, star, rng.randint(0, 12))
+            trace = _greedy_pass(g, DEFAULT_BUDGET)
+            assert trace.replay() == trace.end
+            assert not trace.end.is_empty
+        assert reduce_to_s3(star, budget=200)[0].status is Verdict.UNKNOWN
 
 
 # -- blow-ups (optional search depth) -----------------------------------------------
@@ -428,17 +578,22 @@ def test_blow_up_errors():
         blow_up(g, "x", 1, ("nope",))
 
 
-def test_reducer_default_depth_cannot_reduce_lens_chain():
+def test_reducer_default_depth_reduces_lens_chain():
     g = lens_chain_2020()
     assert determinant(linking_matrix(g)) == 1
     verdict, trace = reduce_to_s3(g)
-    assert verdict.status is Verdict.UNKNOWN
-    assert verdict.budget_exhausted is False
+    assert verdict.status is Verdict.S3
+    assert [str(m) for m in trace.moves] == ["split d", "cancel a b"]
+    assert trace.replay().is_empty
 
 
 def test_reducer_with_blow_up_depth_reduces_lens_chain():
     g = lens_chain_2020()
-    verdict, trace = reduce_to_s3(g, blow_up_depth=1)
+    # the breadth-first search needs a blow-up: depth 0 exhausts its space
+    verdict, trace = _search(g, DEFAULT_BUDGET, 0)
+    assert verdict.status is Verdict.UNKNOWN
+    assert verdict.budget_exhausted is False
+    verdict, trace = _search(g, DEFAULT_BUDGET, 1)
     assert verdict.status is Verdict.S3
     assert sum(1 for m in trace.moves if m.kind == "blowup") == 1
     assert trace.replay().is_empty
