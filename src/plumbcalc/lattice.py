@@ -21,12 +21,21 @@ Every plumbing graph is a forest, so all of these come from one O(n)
 leaf-to-root walk (``_forest_walk``, W. Neumann, Trans. AMS 268, 1981): a
 nonzero effective weight is a 1x1 pivot whose Schur complement lowers its
 parent's weight, and a zero one pairs with its parent as a hyperbolic 2x2
-block.  The graph functions run the walk on the graph itself and never
-build a matrix.  ``determinant`` and ``signature`` take any matrix: they run
-the walk when its off-diagonal support is a forest, and otherwise fall back
-on fraction-free Bareiss elimination and sparse congruence diagonalization.
-The fallbacks are independent algorithms, and the test suite holds the walk
-equal to them and to a dense GF(2) solve and brute-force Wu search.
+block.  The walk keeps each effective weight as an integer pair
+(num, den), so it needs no fractions.  The graph functions run it on the
+graph itself and never build a matrix.
+
+``determinant`` and ``signature`` take any matrix and read it once, into
+its diagonal and its nonzero entries above it.  They route it by shape:
+
+* symmetric with a forest as off-diagonal support: the integer walk;
+* symmetric otherwise: sparse congruence diagonalization, with
+  fraction-free Bareiss elimination as its oracle in the tests;
+* not symmetric (``determinant`` only): Bareiss elimination.
+
+The test suite holds the walk equal to a walk over Fractions, to Bareiss
+and to the diagonalization, and its Wu class to a dense GF(2) solve and
+brute-force search.
 """
 
 from __future__ import annotations
@@ -74,21 +83,36 @@ def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
     return LinkingMatrix(index=ids, entries=tuple(tuple(r) for r in rows))
 
 
-def _rows(m) -> list[list[int]]:
-    """Accept a LinkingMatrix or any square nested sequence of ints."""
+def _read(m):
+    """Read a LinkingMatrix or any square nested sequence of ints once.
+
+    Returns (rows, weights, edges): the rows as given, the diagonal, and
+    the nonzero entries (i, j, x) above it, or edges None when the matrix
+    is not symmetric.  Each row is checked to be square, then to hold only
+    ints, before the next one is read; each nonzero below the diagonal is
+    compared with its mirror in an earlier, already checked row.  Equal
+    mirrors plus as many nonzeros below the diagonal as above make the
+    matrix symmetric.
+    """
     entries = m.entries if isinstance(m, LinkingMatrix) else m
-    rows = [list(row) for row in entries]
-    for row in rows:
-        if len(row) != len(rows):
+    rows = [row if type(row) in (list, tuple) else list(row) for row in entries]
+    n = len(rows)
+    cols = list(range(n))  # compress over a list allocates no index ints
+    weights, edges, below, symmetric = [], [], 0, True
+    for i, row in enumerate(rows):
+        if len(row) != n:
             raise DomainError("matrix is not square")
         if not {int}.issuperset(map(type, row)):
             bad = next(x for x in row if type(x) is not int)
             raise DomainError(f"matrix entry {bad!r} is not an int")
-    return rows
-
-
-def _is_symmetric(a: list[list[int]]) -> bool:
-    return list(map(list, zip(*a))) == a
+        weights.append(row[i])
+        for j in compress(cols, row):
+            if j > i:
+                edges.append((i, j, row[j]))
+            elif j < i:
+                below += 1
+                symmetric = symmetric and rows[j][i] == row[j]
+    return rows, weights, edges if symmetric and below == len(edges) else None
 
 
 def _forest_walk(weights, edges):
@@ -106,6 +130,14 @@ def _forest_walk(weights, edges):
     2x2 block [[0, b], [b, *]] with det -b^2 and signature 0, whose Schur
     complement is zero: the parent's other edges simply drop.  A zero
     weight with no partner is an isolated zero eigenvalue (det 0).
+
+    The walk stays in the integers: v's effective weight is num[v] / den[v],
+    and a pivot v updates its parent p to
+    num[p] * num[v] - b^2 * den[v] * den[p] over den[p] * num[v].  So den[v]
+    is the product of the nums of v's pivot children, and in the product of
+    the pivots' num / den every num but a root's cancels against its
+    parent's den.  det is therefore the product of the pivot roots' nums
+    and, per hyperbolic block, of -b^2 and the dens of both its vertices.
 
     The GF(2) pass makes the same moves on A mod 2.  Each move keeps the
     right-hand side diag(A) equal to the effective diagonal, so a pivot
@@ -139,7 +171,7 @@ def _forest_walk(weights, edges):
         return None
 
     sig, det = 0, 1
-    eff = list(weights)  # effective weights over Q
+    num, den = list(weights), [1] * n  # effective weights num / den over Q
     zero = [-1] * n  # the child left with effective weight 0, over Q
     eff2 = [w & 1 for w in weights]  # the same over GF(2)
     zero2 = [-1] * n
@@ -148,12 +180,15 @@ def _forest_walk(weights, edges):
         p, b = parent[v], link[v]
         z = zero[v]
         if z >= 0:
-            det *= -link[z] ** 2
-        elif eff[v]:
-            sig += 1 if eff[v] > 0 else -1
-            det *= eff[v]
+            det *= -link[z] ** 2 * den[z] * den[v]
+        elif num[v]:
+            e, d = num[v], den[v]
+            sig += 1 if (e > 0) == (d > 0) else -1
             if p >= 0:
-                eff[p] -= Fraction(b * b) / eff[v]
+                num[p] = num[p] * e - b * b * d * den[p]
+                den[p] *= e
+            else:
+                det *= e
         elif p >= 0 and zero[p] < 0:
             zero[p] = v
         else:
@@ -170,15 +205,12 @@ def _forest_walk(weights, edges):
         elif up >= 0:
             zero2[up] = v
 
-    det = Fraction(det)
-    if det.denominator != 1:
-        raise AssertionError("forest walk produced a non-integer determinant")
-    if det.numerator % 2 == 0:
-        return sig, det.numerator, None
+    if det % 2 == 0:
+        return sig, det, None
     x = [0] * n
     for v, c, u in reversed(back):
         x[v] = c ^ x[u] if u >= 0 else c
-    return sig, det.numerator, frozenset(compress(range(n), x))
+    return sig, det, frozenset(compress(range(n), x))
 
 
 def _graph_walk(g: PlumbingGraph) -> tuple[int, int, frozenset[str] | None]:
@@ -192,26 +224,24 @@ def _graph_walk(g: PlumbingGraph) -> tuple[int, int, frozenset[str] | None]:
     return sig, det, None if wu is None else frozenset(ids[i] for i in wu)
 
 
-def _walk_matrix(a: list[list[int]]):
-    """_forest_walk on a symmetric matrix, or None when its off-diagonal
-    support is not a forest."""
-    n = len(a)
-    edges = []
-    for i, row in enumerate(a):
-        edges.extend((i, j, row[j]) for j in compress(range(i + 1, n), row[i + 1 :]))
-        if len(edges) >= n:  # more than a forest on n vertices has
-            return None
-    return _forest_walk([row[i] for i, row in enumerate(a)], edges)
-
-
 def determinant(m) -> int:
     """Exact integer determinant of a square integer matrix.  Accepts a
     LinkingMatrix or a plain nested sequence, so it also serves ad-hoc
-    matrices that never came from a graph; those that are not symmetric
-    with forest support go through Bareiss elimination."""
-    a = _rows(m)
-    walked = _walk_matrix(a) if _is_symmetric(a) else None
-    return _bareiss(a) if walked is None else walked[1]
+    matrices that never came from a graph.  A symmetric matrix whose
+    off-diagonal support is a forest goes through the integer walk, any
+    other symmetric one through congruence diagonalization, and only a
+    non-symmetric one through Bareiss elimination."""
+    rows, weights, edges = _read(m)
+    if edges is None:
+        return _bareiss([list(row) for row in rows])
+    return _sig_det(weights, edges)[1]
+
+
+def _sig_det(weights, edges) -> tuple[int, int]:
+    """(signature, det) of a symmetric matrix in _forest_walk's sparse form:
+    the walk when its support is a forest, else diagonalization."""
+    walked = _forest_walk(weights, edges)
+    return _diagonalize(weights, edges) if walked is None else walked[:2]
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -239,30 +269,66 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _diagonalize(dense: list[list[int]]) -> tuple[int, int]:
-    """Exact congruence diagonalization of a symmetric matrix.
+def _diagonalize(weights, edges) -> tuple[int, int]:
+    """Exact congruence diagonalization of the symmetric matrix with
+    diagonal ``weights`` and entries ``edges`` above it, as for _forest_walk.
 
-    Returns (signature, determinant).  Works on a sparse dict-of-dicts copy;
-    pivoting prefers the nonzero diagonal entry of minimum fill.  The
+    Returns (signature, determinant).  Works on a dict-of-dicts copy that
+    holds only the rows and columns not yet eliminated; pivoting prefers the
+    nonzero diagonal entry of minimum fill, then the lowest index.  The
     determinant falls out as the product of the 1x1 pivots and the -b^2
     factors of the hyperbolic 2x2 blocks (Schur-complement elimination
     leaves det unchanged).
     """
-    n = len(dense)
-    rows: dict[int, dict[int, Fraction | int]] = {}
-    for i in range(n):
-        row = {j: x for j, x in enumerate(dense[i]) if x}
-        rows[i] = row
-    active = set(range(n))
+    rows: dict[int, dict[int, Fraction | int]] = {
+        i: {i: w} if w else {} for i, w in enumerate(weights)
+    }
+    for i, j, b in edges:
+        rows[i][j] = rows[j][i] = b
     sig = 0
     det: Fraction | int = 1
 
-    def eliminate_pair(i: int, j: int) -> None:
-        """Schur-complement elimination of rows/cols i and j."""
+    def eliminate(*block: int) -> list[dict]:
+        """Drop the block's rows and columns; return its rows."""
+        out = [rows.pop(i) for i in block]
+        for row in out:
+            for i in block:
+                row.pop(i, None)
+            for k in row:
+                for i in block:
+                    rows[k].pop(i, None)
+        return out
+
+    def update(k: int, l: int, delta) -> None:
+        new = rows[k].get(l, 0) - delta
+        if new:
+            rows[k][l] = new
+        else:
+            rows[k].pop(l, None)
+
+    while rows:
+        pivots = [(len(row), i) for i, row in rows.items() if i in row]
+        if pivots:
+            pivot = min(pivots)[1]
+            d = rows[pivot][pivot]
+            sig += 1 if d > 0 else -1
+            det *= d
+            (coeff,) = eliminate(pivot)
+            for k, xk in coeff.items():
+                for l, xl in coeff.items():
+                    update(k, l, Fraction(xk * xl) / d)
+            continue
+        # Every remaining diagonal entry is zero: hyperbolic split on the
+        # lowest index that has a neighbour, with its lowest neighbour.
+        linked = [i for i, row in rows.items() if row]
+        if not linked:
+            det = 0  # remaining block is identically zero
+            break
+        i = min(linked)
+        j = min(rows[i])
         b = rows[i][j]
-        coeff_i = {k: x for k, x in rows[i].items() if k in active}
-        coeff_j = {k: x for k, x in rows[j].items() if k in active}
-        touched = set(coeff_i) | set(coeff_j)
+        coeff_i, coeff_j = eliminate(i, j)
+        touched = coeff_i.keys() | coeff_j.keys()
         for k in touched:
             for l in touched:
                 delta = (
@@ -270,57 +336,7 @@ def _diagonalize(dense: list[list[int]]) -> tuple[int, int]:
                     + coeff_j.get(k, 0) * coeff_i.get(l, 0)
                 )
                 if delta:
-                    new = rows[k].get(l, 0) - Fraction(delta, 1) / b
-                    if new:
-                        rows[k][l] = new
-                    else:
-                        rows[k].pop(l, None)
-
-    while active:
-        pivot = None
-        best = None
-        for i in active:
-            d = rows[i].get(i, 0)
-            if d:
-                fill = sum(1 for k in rows[i] if k in active and k != i)
-                key = (fill, i)
-                if best is None or key < best:
-                    best = key
-                    pivot = i
-        if pivot is not None:
-            d = rows[pivot].get(pivot, 0)
-            sig += 1 if d > 0 else -1
-            det *= d
-            active.discard(pivot)
-            coeff = {k: x for k, x in rows[pivot].items() if k in active}
-            items = list(coeff.items())
-            for ki in range(len(items)):
-                k, xk = items[ki]
-                for li in range(len(items)):
-                    l, xl = items[li]
-                    new = rows[k].get(l, 0) - Fraction(xk * xl, 1) / d
-                    if new:
-                        rows[k][l] = new
-                    else:
-                        rows[k].pop(l, None)
-            continue
-        # Every remaining diagonal entry is zero: hyperbolic split.
-        pair = None
-        for i in sorted(active):
-            for j in sorted(rows[i]):
-                if j in active and j != i and rows[i][j]:
-                    pair = (i, j) if i < j else (j, i)
-                    break
-            if pair:
-                break
-        if pair is None:
-            det = 0  # remaining block is identically zero
-            break
-        i, j = pair
-        b = rows[i][j]
-        active.discard(i)
-        active.discard(j)
-        eliminate_pair(i, j)
+                    update(k, l, Fraction(delta) / b)
         det *= -b * b
         # one positive and one negative eigenvalue: sig += 0
 
@@ -333,11 +349,10 @@ def _diagonalize(dense: list[list[int]]) -> tuple[int, int]:
 def signature(m) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric
     integer matrix, exact over the rationals; zero eigenvalues contribute 0."""
-    a = _rows(m)
-    if not _is_symmetric(a):
+    _, weights, edges = _read(m)
+    if edges is None:
         raise DomainError("matrix is not symmetric")
-    walked = _walk_matrix(a)
-    return _diagonalize(a)[0] if walked is None else walked[0]
+    return _sig_det(weights, edges)[0]
 
 
 def _characteristic(wu: frozenset[str] | None) -> frozenset[str]:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,13 +21,64 @@ from plumbcalc import (
     star_plumbing,
     wu_class,
 )
-from plumbcalc.lattice import (
-    _bareiss,
-    _diagonalize,
-    _forest_walk,
-    _graph_walk,
-    _walk_matrix,
-)
+from plumbcalc import lattice
+from plumbcalc.lattice import _bareiss, _diagonalize, _forest_walk, _graph_walk
+
+
+def sparse(a):
+    """(diagonal, nonzero entries (i, j, x) above it) of a dense matrix:
+    the input form of _forest_walk and _diagonalize."""
+    n = len(a)
+    return [a[i][i] for i in range(n)], [
+        (i, j, a[i][j]) for i in range(n) for j in range(i + 1, n) if a[i][j]
+    ]
+
+
+def walk_matrix(a):
+    return _forest_walk(*sparse(a))
+
+
+def fraction_walk(weights, edges):
+    """(signature, det) of a symmetric matrix with forest support by the
+    leaf-to-root walk over Fractions: a nonzero effective weight e is a
+    pivot (parent weight -= b^2 / e), a zero one pairs with its parent as
+    a hyperbolic block with det -b^2.  The oracle of the integer walk."""
+    n = len(weights)
+    adj = [[] for _ in range(n)]
+    for i, j, b in edges:
+        adj[i].append((j, b))
+        adj[j].append((i, b))
+    parent, link, seen, order = [-1] * n, [0] * n, [False] * n, []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            k = len(order)
+            order.append(root)
+            while k < len(order):
+                v = order[k]
+                k += 1
+                for u, b in adj[v]:
+                    if not seen[u]:
+                        seen[u], parent[u], link[u] = True, v, b
+                        order.append(u)
+    sig, det = 0, Fraction(1)
+    eff = [Fraction(w) for w in weights]
+    zero = [-1] * n
+    for v in reversed(order):
+        p, b = parent[v], link[v]
+        if zero[v] >= 0:
+            det *= -link[zero[v]] ** 2
+        elif eff[v]:
+            sig += 1 if eff[v] > 0 else -1
+            det *= eff[v]
+            if p >= 0:
+                eff[p] -= b * b / eff[v]
+        elif p >= 0 and zero[p] < 0:
+            zero[p] = v
+        else:
+            det = Fraction(0)
+    assert det.denominator == 1
+    return sig, det.numerator
 
 
 def brute_force_wu_indices(a):
@@ -134,20 +186,93 @@ def test_signature_examples(fixtures):
     assert signature([[0]]) == 0
 
 
+def gamma_style_matrix(rng):
+    """A random star with arms of weight -1..-4 and links +-1, plus one
+    -1-framed vertex linking two of its vertices with signs +-1: one cycle,
+    the shape of the augmented gamma-handle diagrams."""
+    arms = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    n = 1 + sum(arms) + 1
+    a = [[0] * n for _ in range(n)]
+    a[0][0] = rng.randint(-3, 1)
+    k = 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            a[k][k] = rng.randint(-4, -1)
+            a[k][prev] = a[prev][k] = rng.choice((1, -1))
+            prev, k = k, k + 1
+    i, j = rng.sample(range(n - 1), 2)
+    a[-1][-1] = -1
+    a[-1][i] = a[i][-1] = 1
+    a[-1][j] = a[j][-1] = rng.choice((1, -1))
+    return a
+
+
+def zero_cycle(rng):
+    """A cycle of 3-7 vertices with zero diagonal and links +-1, +-2."""
+    n = rng.randint(3, 7)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i - 1] = a[i - 1][i] = rng.choice((1, -1, 2, -2))
+    return a
+
+
 def test_bareiss_and_diagonalization_agree():
     rng = random.Random(99)
+    cases = []
     for _ in range(150):
         n = rng.randint(0, 6)
         a = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 a[i][j] = a[j][i] = rng.randint(-5, 5)
-        sig, det = _diagonalize(a)
-        assert det == determinant(a)
+        cases.append(a)
+    cases += [gamma_style_matrix(rng) for _ in range(150)]
+    cases += [zero_cycle(rng) for _ in range(50)]
+    dets = set()
+    for a in cases:
+        sig, det = _diagonalize(*sparse(a))
+        assert det == _bareiss([row[:] for row in a])
+        dets.add(det)
         # signature and determinant sign must be consistent
         if det != 0:
-            negatives = (n - sig) // 2
+            negatives = (len(a) - sig) // 2
             assert (-1) ** negatives == (1 if det > 0 else -1)
+    assert {0, 1, -1} < dets and len(dets) > 20
+
+
+def record_calls(monkeypatch, *names):
+    """Wrap the named lattice functions; return the list their calls append
+    their names to."""
+    calls = []
+    for name in names:
+        original = getattr(lattice, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
+def test_matrix_routing(fixtures, monkeypatch):
+    # forests walk, other symmetric matrices diagonalize, and only
+    # non-symmetric ones reach Bareiss
+    calls = record_calls(monkeypatch, "_forest_walk", "_diagonalize", "_bareiss")
+    rng = random.Random(17)
+    for a in [gamma_style_matrix(rng) for _ in range(20)] + [zero_cycle(rng)]:
+        calls.clear()
+        assert determinant(a) == _diagonalize(*sparse(a))[1]
+        signature(a)
+        assert "_bareiss" not in calls and "_diagonalize" in calls
+    calls.clear()
+    assert determinant([[2, 1], [3, 4]]) == 5
+    assert calls == ["_bareiss"]
+    m = linking_matrix(fixtures["d2"])
+    calls.clear()
+    determinant(m), signature(m)
+    assert calls == ["_forest_walk", "_forest_walk"]
 
 
 def test_forest_walk_agrees_with_dense_routes():
@@ -155,9 +280,10 @@ def test_forest_walk_agrees_with_dense_routes():
     odd = 0
     for _ in range(3000):
         a = random_forest_matrix(rng, max_vertices=10)
-        sig, det, wu = _walk_matrix(a)
+        sig, det, wu = walk_matrix(a)
+        assert (sig, det) == fraction_walk(*sparse(a))
         assert det == determinant(a) == _bareiss([row[:] for row in a])
-        assert sig == signature(a) == _diagonalize(a)[0]
+        assert sig == signature(a) == _diagonalize(*sparse(a))[0]
         assert wu == dense_wu(a)
         if len(a) <= 8:
             solutions = brute_force_wu_indices(a)
@@ -185,7 +311,7 @@ def test_zero_weight_chains(weights, det, sig):
     # zero effective weights pair with their parent as hyperbolic blocks
     g = path_graph(*weights)
     a = [list(row) for row in linking_matrix(g).entries]
-    assert (det, sig) == (_bareiss([row[:] for row in a]), _diagonalize(a)[0])
+    assert (det, sig) == (_bareiss([row[:] for row in a]), _diagonalize(*sparse(a))[0])
     assert (determinant(a), signature(a)) == (det, sig)
     walked_sig, walked_det, wu = _graph_walk(g)
     assert (walked_det, walked_sig) == (det, sig)
@@ -202,6 +328,41 @@ def test_zero_centred_stars():
     assert determinant(linking_matrix(g)) == 0
 
 
+@pytest.mark.parametrize(
+    "weights, edges, sig, det",
+    [
+        # z = 1 over two 2-leaves has effective weight 0 and den 4; its
+        # partner, the root 3, has a 3-leaf (den 3): det = -1 * 4 * 3
+        ([3, 1, 3, 2, 2], [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1)], 3, -12),
+        # the same block below a root -5, with link 2 to the zero child:
+        # det = -4 * 4 * 3 * -5
+        ([-5, 3, 1, 3, 2, 2], [(0, 1, 1), (1, 2, 2), (1, 3, 1), (2, 4, 1), (2, 5, 1)],
+         2, 240),
+        # the partner is the root 0 with two -3-leaves (den 9): det = -1 * 4 * 9
+        ([0, 1, 2, 2, -3, -3], [(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 4, 1), (0, 5, 1)],
+         0, -36),
+        # z = -2 over leaves -2, -2, -1 has den -4, link 3 to the root 4
+        # with a 5-leaf (den 5): det = -9 * -4 * 5
+        ([4, -2, -2, -2, -1, 5],
+         [(0, 1, 3), (1, 2, 1), (1, 3, 1), (1, 4, 1), (0, 5, 1)], -2, 180),
+        # two zero children of one vertex: one pairs, the other is singular
+        ([1, 1, 2, 2, 0], [(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 4, 1)], 2, 0),
+    ],
+)
+def test_zero_pairs_with_non_unit_children(weights, edges, sig, det):
+    a = [[0] * len(weights) for _ in weights]
+    for i, w in enumerate(weights):
+        a[i][i] = w
+    for i, j, b in edges:
+        a[i][j] = a[j][i] = b
+    assert fraction_walk(weights, edges) == (sig, det)
+    assert _bareiss([row[:] for row in a]) == det
+    assert _diagonalize(weights, edges) == (sig, det)
+    walked = _forest_walk(weights, edges)
+    assert walked[:2] == (sig, det)
+    assert walked[2] == (None if det % 2 == 0 else dense_wu(a))
+
+
 def test_non_forest_matrices_fall_back():
     triangle_and_point = [
         [-2, 1, 1, 0],
@@ -210,11 +371,11 @@ def test_non_forest_matrices_fall_back():
         [0, 0, 0, 5],
     ]
     assert _forest_walk([-2, -2, -2, 5], [(0, 1, 1), (0, 2, 1), (1, 2, 1)]) is None
-    assert _walk_matrix(triangle_and_point) is None  # 3 edges on 4 vertices, a cycle
+    assert walk_matrix(triangle_and_point) is None  # 3 edges on 4 vertices, a cycle
     assert determinant(triangle_and_point) == 0
     assert signature(triangle_and_point) == -1  # eigenvalues 0, -3, -3, 5
     dense = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
-    assert _walk_matrix(dense) is None
+    assert walk_matrix(dense) is None
     assert determinant(dense) == 4 and signature(dense) == 3
 
 
@@ -235,10 +396,36 @@ def test_entries_must_be_ints(fn, m):
         fn(m)
 
 
+@pytest.mark.parametrize("fn", [determinant, signature])
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ([[1, 2], [2]], "matrix is not square"),
+        ([[1, 0, 2], [0, 1, 0], [2]], "matrix is not square"),
+        ([[1, 2], [3]], "matrix is not square"),  # short and not symmetric
+        ([[1, 2], [1, 2, 3]], "matrix is not square"),
+        ([[1, 0], [0, 1], [0, 0]], "matrix is not square"),
+        ([[1, 2], [2, 1.0]], "matrix entry 1.0 is not an int"),
+        ([[1, 2], [3, "x"]], "matrix entry 'x' is not an int"),  # and not symmetric
+        ([[0, 1, 0], [1, 0, True], [0, 1, 0]], "matrix entry True is not an int"),
+        ([[1, 2.5], [2]], "matrix entry 2.5 is not an int"),  # row by row
+        ([[1, 2], [2, 1], [3]], "matrix is not square"),
+    ],
+)
+def test_bad_matrices_raise_domain_error(fn, m, message):
+    # rows are checked in order, each for its length and then its entries;
+    # a mirror is looked up only in a row already checked
+    with pytest.raises(DomainError) as info:
+        fn(m)
+    assert str(info.value) == message
+
+
 def test_long_path_and_big_star_in_linear_time():
     # minutes on a dense cubic route; milliseconds on the forest walk
     path = path_graph(*[-2] * 3000)
     assert _graph_walk(path) == (-3000, 3001, frozenset())
+    path_edges = [(i, i + 1, 1) for i in range(2999)]
+    assert fraction_walk([-2] * 3000, path_edges) == (-3000, 3001)
     assert wu_class(path) == frozenset()
     assert reduce_to_s3(path)[0].det_abs == 3001
     t = BrieskornTriple(3, 5, 10007)
@@ -247,6 +434,8 @@ def test_long_path_and_big_star_in_linear_time():
     m = linking_matrix(star)
     assert abs(determinant(m)) == 1
     assert signature(m) == -675
+    sig_det = (-675, determinant(m))
+    assert _graph_walk(star)[:2] == fraction_walk(*sparse(m.entries)) == sig_det
     assert rohlin_mu_bar(star) == rohlin_from_signature(t) == 1
 
 
@@ -362,17 +551,9 @@ def test_rohlin_mu_bar(fixtures):
 
 def test_mu_bar_eliminates_once(fixtures, monkeypatch):
     # one forest walk per call, and no dense matrix or dense elimination
-    from plumbcalc import lattice
-
-    calls = []
-    for name in ("_forest_walk", "linking_matrix", "_bareiss", "_diagonalize"):
-        original = getattr(lattice, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(lattice, name, counted)
+    calls = record_calls(
+        monkeypatch, "_forest_walk", "linking_matrix", "_bareiss", "_diagonalize"
+    )
     for fn in (mu_bar, rohlin_mu_bar):
         calls.clear()
         fn(fixtures["d2"])

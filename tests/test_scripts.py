@@ -2,15 +2,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).parent.parent / "scripts" / "gamma_candidates.py"
+ROOT = Path(__file__).parent.parent
+SCRIPT = ROOT / "scripts" / "gamma_candidates.py"
+GOLDEN = ROOT / "tests" / "data" / "gamma_candidates.out"
 
 
 def test_gamma_screen_runs_and_reports():
-    # report-only experiment: assert it runs and emits the screen structure,
-    # not any particular candidate set
+    # the screen's augmented matrices are symmetric with a cycle, so this
+    # pins the diagonalization route of determinant byte for byte
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(SCRIPT)], capture_output=True, timeout=120
     )
     assert proc.returncode == 0
-    assert "d2 det: -1" in proc.stdout
-    assert "candidate attachment sets (necessary condition only)" in proc.stdout
+    assert proc.stdout == GOLDEN.read_bytes()
