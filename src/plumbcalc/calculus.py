@@ -61,6 +61,15 @@ __all__ = [
 
 DEFAULT_BUDGET = 100_000  # canonical states admitted to the memo table
 
+# Move kind -> (fewest, most) vertex ids; ``blowup`` also takes a weight.
+_MOVE_ARITY = {
+    "blowdown": (1, 1),
+    "absorb": (1, 1),
+    "split": (1, 1),
+    "cancel": (2, 2),
+    "blowup": (1, 3),
+}
+
 
 # -- moves -------------------------------------------------------------------
 
@@ -112,8 +121,8 @@ def blow_up(
     attachments, raising each attachment's weight by the new weight.  A
     two-vertex attachment must be an existing edge, which the new vertex
     splits (undoing the edge a valence-2 blow-down would create)."""
-    if weight not in (1, -1):
-        raise MoveError(f"blow-up weight must be +-1, got {weight}")
+    if type(weight) is not int or weight not in (1, -1):
+        raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
     if new_id in g._weight_map:
         raise MoveError(f"vertex id {new_id!r} already in use")
     attach = tuple(attach)
@@ -239,6 +248,11 @@ def blow_up_moves(g: PlumbingGraph) -> list[Move]:
 def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
     """Apply a move, re-checking its preconditions (and its recorded
     pre-weights, when it carries them) against this graph."""
+    if move.kind not in _MOVE_ARITY:
+        raise MoveError(f"unknown move kind {move.kind!r}")
+    low, high = _MOVE_ARITY[move.kind]
+    if not low <= len(move.ids) <= high:
+        raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
     if move.pre is not None:
         for v, w in move.pre:
             if v not in g._weight_map or g.weight(v) != w:
@@ -258,11 +272,10 @@ def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
     if move.kind == "split":
         (v,) = move.ids
         return split_zero(g, v)
-    if move.kind == "blowup":
-        if move.weight is None:
-            raise MoveError("blow-up move carries no weight")
-        return blow_up(g, move.ids[0], move.weight, move.ids[1:])
-    raise MoveError(f"unknown move kind {move.kind!r}")
+    # the one kind left is blowup
+    if move.weight is None:
+        raise MoveError("blow-up move carries no weight")
+    return blow_up(g, move.ids[0], move.weight, move.ids[1:])
 
 
 @dataclass(frozen=True)

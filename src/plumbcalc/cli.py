@@ -60,10 +60,21 @@ EXIT_DISAGREE = 3
 _FIXTURE_SURGERY_EVIDENCE = {(5, 9, 13): "d3"}
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; GraphFormatError, not a traceback, when it is not
+    UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def _load_graph(arg: str) -> PlumbingGraph:
     path = Path(arg)
     if path.is_file():
-        return parse_graph(path.read_text(), source=str(path))
+        return parse_graph(_read_text(path), source=str(path))
     name = arg[:-6] if arg.endswith(".graph") else arg
     if name in FIXTURE_NAMES:
         return fixture_graph(name)
@@ -213,7 +224,7 @@ def cmd_replay_trace(args) -> int:
     path = Path(args.trace)
     if not path.is_file():
         raise GraphFormatError(f"{args.trace}: no such file")
-    start, moves = parse_trace(path.read_text(), source=str(path))
+    start, moves = parse_trace(_read_text(path), source=str(path))
     g = start
     for move in moves:
         g = apply_move(g, move)

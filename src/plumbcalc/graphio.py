@@ -28,7 +28,7 @@ diagnostic points at the exact line that breaks them.
 
 from __future__ import annotations
 
-from .calculus import Move, MoveTrace
+from .calculus import _MOVE_ARITY, Move, MoveTrace
 from .errors import DomainError, GraphFormatError
 from .graphs import VERTEX_ID_RE, PlumbingGraph, _ForestBuilder
 
@@ -41,14 +41,22 @@ __all__ = [
 ]
 
 
-# Graph-line directive -> (usage, forest validator method it drives).
+def _add_vertex(forest: _ForestBuilder, v: str, token: str) -> None:
+    """add_vertex with the weight token read as an int.  A token that does
+    not read as one is passed on as it is: add_vertex rejects it after its
+    id checks, as "weight <token> is not an integer"."""
+    try:
+        weight = int(token)
+    except ValueError:
+        weight = token
+    forest.add_vertex(v, weight)
+
+
+# Graph-line directive -> (usage, forest validator call it drives).
 _GRAPH_LINES = {
-    "vertex": ("vertex <id> <weight>", _ForestBuilder.add_vertex),
+    "vertex": ("vertex <id> <weight>", _add_vertex),
     "edge": ("edge <id> <id>", _ForestBuilder.add_edge),
 }
-
-# Move-line verb -> number of vertex ids; ``blowup`` also takes a weight.
-_MOVE_ARITY = {"blowdown": 1, "absorb": 1, "split": 1, "cancel": 2}
 
 
 class _Parser:
@@ -70,7 +78,7 @@ class _Parser:
             directive, args = tokens[0], tokens[1:]
             if directive in _GRAPH_LINES:
                 self.graph_line(lineno, directive, args)
-            elif directive in _MOVE_ARITY or directive == "blowup":
+            elif directive in _MOVE_ARITY:
                 if not allow_moves:
                     self.fail(lineno, f"move line {directive!r} in a graph file")
                 self.move(lineno, directive, args)
@@ -87,25 +95,20 @@ class _Parser:
             add(self.forest, *args)
         except DomainError as exc:
             self.fail(lineno, str(exc))
-        except ValueError:
-            # Only add_vertex raises it, from int() on the weight token,
-            # after its id checks.
-            self.fail(lineno, f"weight {args[1]!r} is not an integer")
 
     def move(self, lineno: int, kind: str, args):
-        if kind == "blowup":
-            if not 2 <= len(args) <= 4:
+        low, high = _MOVE_ARITY[kind]
+        ids = args[1:] if kind == "blowup" else args
+        if not low <= len(ids) <= high:
+            if kind == "blowup":
                 self.fail(lineno, "blowup line needs: blowup <weight> <id> [<id> [<id>]]")
+            self.fail(lineno, f"{kind} line needs exactly {low} vertex id(s)")
+        weight = None
+        if kind == "blowup":
             try:
                 weight = int(args[0])
             except ValueError:
                 self.fail(lineno, f"blow-up weight {args[0]!r} is not an integer")
-            ids = args[1:]
-        else:
-            want = _MOVE_ARITY[kind]
-            if len(args) != want:
-                self.fail(lineno, f"{kind} line needs exactly {want} vertex id(s)")
-            weight, ids = None, args
         for token in ids:
             if not VERTEX_ID_RE.match(token):
                 self.fail(lineno, f"bad vertex id {token!r}")

@@ -161,7 +161,9 @@ class _ForestBuilder:
         _check_id(v)
         if v in self.weights:
             raise DomainError(f"duplicate vertex id {v!r}")
-        self.weights[v] = int(w)
+        if type(w) is not int:  # int() would truncate a float and take a bool
+            raise DomainError(f"weight {w!r} is not an integer")
+        self.weights[v] = w
         self._parent[v] = v
 
     def add_edge(self, u: str, v: str) -> None:

@@ -25,17 +25,15 @@ block.  The walk keeps each effective weight as an integer pair
 (num, den), so it needs no fractions.  The graph functions run it on the
 graph itself and never build a matrix.
 
-``determinant`` and ``signature`` take any matrix and read it once, into
-its diagonal and its nonzero entries above it.  They route it by shape:
-
-* symmetric with a forest as off-diagonal support: the integer walk;
-* symmetric otherwise: sparse congruence diagonalization, with
-  fraction-free Bareiss elimination as its oracle in the tests;
-* not symmetric (``determinant`` only): Bareiss elimination.
+``determinant`` and ``signature`` take a square, symmetric matrix of ints
+and read it once, into its diagonal and its nonzero entries above it.  A
+matrix whose off-diagonal support is a forest goes through the integer
+walk, any other through sparse congruence diagonalization.
 
 The test suite holds the walk equal to a walk over Fractions, to Bareiss
-and to the diagonalization, and its Wu class to a dense GF(2) solve and
-brute-force search.
+elimination and to the diagonalization, the diagonalization equal to
+Bareiss, and the walk's Wu class to a dense GF(2) solve and brute-force
+search.
 """
 
 from __future__ import annotations
@@ -84,15 +82,15 @@ def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
 
 
 def _read(m):
-    """Read a LinkingMatrix or any square nested sequence of ints once.
+    """Read a LinkingMatrix or any square, symmetric nested sequence of ints
+    once, into (weights, edges): the diagonal and the nonzero entries
+    (i, j, x) above it.
 
-    Returns (rows, weights, edges): the rows as given, the diagonal, and
-    the nonzero entries (i, j, x) above it, or edges None when the matrix
-    is not symmetric.  Each row is checked to be square, then to hold only
-    ints, before the next one is read; each nonzero below the diagonal is
-    compared with its mirror in an earlier, already checked row.  Equal
-    mirrors plus as many nonzeros below the diagonal as above make the
-    matrix symmetric.
+    Each row is checked to be square, then to hold only ints, before the
+    next one is read; each nonzero below the diagonal is compared with its
+    mirror in an earlier, already checked row.  Equal mirrors plus as many
+    nonzeros below the diagonal as above make the matrix symmetric; any
+    other matrix raises DomainError once every row is read.
     """
     entries = m.entries if isinstance(m, LinkingMatrix) else m
     rows = [row if type(row) in (list, tuple) else list(row) for row in entries]
@@ -112,7 +110,9 @@ def _read(m):
             elif j < i:
                 below += 1
                 symmetric = symmetric and rows[j][i] == row[j]
-    return rows, weights, edges if symmetric and below == len(edges) else None
+    if not symmetric or below != len(edges):
+        raise DomainError("matrix is not symmetric")
+    return weights, edges
 
 
 def _forest_walk(weights, edges):
@@ -225,16 +225,12 @@ def _graph_walk(g: PlumbingGraph) -> tuple[int, int, frozenset[str] | None]:
 
 
 def determinant(m) -> int:
-    """Exact integer determinant of a square integer matrix.  Accepts a
-    LinkingMatrix or a plain nested sequence, so it also serves ad-hoc
-    matrices that never came from a graph.  A symmetric matrix whose
+    """Exact integer determinant of a square, symmetric integer matrix.
+    Accepts a LinkingMatrix or a plain nested sequence, so it also serves
+    ad-hoc matrices that never came from a graph.  A matrix whose
     off-diagonal support is a forest goes through the integer walk, any
-    other symmetric one through congruence diagonalization, and only a
-    non-symmetric one through Bareiss elimination."""
-    rows, weights, edges = _read(m)
-    if edges is None:
-        return _bareiss([list(row) for row in rows])
-    return _sig_det(weights, edges)[1]
+    other through congruence diagonalization."""
+    return _sig_det(*_read(m))[1]
 
 
 def _sig_det(weights, edges) -> tuple[int, int]:
@@ -242,31 +238,6 @@ def _sig_det(weights, edges) -> tuple[int, int]:
     the walk when its support is a forest, else diagonalization."""
     walked = _forest_walk(weights, edges)
     return _diagonalize(weights, edges) if walked is None else walked[:2]
-
-
-def _bareiss(a: list[list[int]]) -> int:
-    """Determinant by Bareiss fraction-free elimination with row pivoting;
-    O(n^3) and overwrites ``a``."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _diagonalize(weights, edges) -> tuple[int, int]:
@@ -347,12 +318,10 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
 
 
 def signature(m) -> int:
-    """Signature (positive minus negative eigenvalue count) of a symmetric
-    integer matrix, exact over the rationals; zero eigenvalues contribute 0."""
-    _, weights, edges = _read(m)
-    if edges is None:
-        raise DomainError("matrix is not symmetric")
-    return _sig_det(weights, edges)[0]
+    """Signature (positive minus negative eigenvalue count) of a square,
+    symmetric integer matrix, exact over the rationals; zero eigenvalues
+    contribute 0."""
+    return _sig_det(*_read(m))[0]
 
 
 def _characteristic(wu: frozenset[str] | None) -> frozenset[str]:

@@ -60,7 +60,10 @@ class BrieskornTriple:
     a3: int
 
     def __post_init__(self):
-        a1, a2, a3 = sorted((int(self.a1), int(self.a2), int(self.a3)))
+        for a in (self.a1, self.a2, self.a3):
+            if type(a) is not int:
+                raise DomainError(f"index {a!r} is not an integer")
+        a1, a2, a3 = sorted((self.a1, self.a2, self.a3))
         if a1 < 2:
             raise DomainError(f"indices must be >= 2, got {a1}")
         if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
@@ -86,13 +89,15 @@ class SeifertData:
     arms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arms = tuple((int(a), int(b)) for a, b in self.arms)
+        arms = tuple((a, b) for a, b in self.arms)
+        for x in (self.b, *(x for arm in arms for x in arm)):
+            if type(x) is not int:
+                raise DomainError(f"Seifert invariant {x!r} is not an integer")
         for alpha, beta in arms:
             if alpha < 2 or not 0 < beta < alpha:
                 raise DomainError(f"bad arm ({alpha}, {beta})")
             if gcd(alpha, beta) != 1:
                 raise DomainError(f"arm ({alpha}, {beta}) not coprime")
-        object.__setattr__(self, "b", int(self.b))
         object.__setattr__(self, "arms", arms)
 
     def euler_number(self) -> Fraction:

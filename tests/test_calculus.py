@@ -146,6 +146,29 @@ def test_apply_move_checks_recorded_weights():
         apply_move(h, move)  # recorded against g, not h
 
 
+@pytest.mark.parametrize(
+    "move, fragment",
+    [
+        (Move("blowdown", ("a", "b")), "malformed move: blowdown with 2"),
+        (Move("blowdown", ()), "malformed move: blowdown with 0"),
+        (Move("absorb", ("a", "b")), "malformed move: absorb with 2"),
+        (Move("split", ()), "malformed move: split with 0"),
+        (Move("cancel", ("a",)), "malformed move: cancel with 1"),
+        (Move("cancel", ("a", "b", "c")), "malformed move: cancel with 3"),
+        (Move("blowup", (), weight=-1), "malformed move: blowup with 0"),
+        (Move("blowup", ("z", "a", "b", "c"), weight=-1), "malformed move: blowup with 4"),
+        (Move("blowup", ("z", "a")), "carries no weight"),
+        (Move("blowup", ("z", "a"), weight=-1.0), "weight must be"),
+        (Move("blowup", ("z", "a"), weight=True), "weight must be"),
+        (Move("twist", ("a",)), "unknown move kind 'twist'"),
+    ],
+)
+def test_malformed_moves_raise_move_error(move, fragment):
+    g = path_graph(-2, -1, -2)
+    with pytest.raises(MoveError, match=fragment):
+        apply_move(g, move)
+
+
 # -- traces --------------------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,6 +208,23 @@ def test_replay_trace_rejects_invalid_moves(capsys, tmp_path):
 def test_replay_trace_missing_file(capsys):
     code, _, _ = run(capsys, "replay-trace", "/nonexistent/x.trace")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["invariants", "reduce", "export-dot", "replay-trace"])
+def test_undecodable_file_exits_2(tmp_path, command):
+    # a file that is not UTF-8 is a format error with one line, not a traceback
+    f = tmp_path / "latin1.graph"
+    f.write_bytes(b"# caf\xe9\nvertex a -2\n")
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbcalc.cli", command, str(f)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {f}: not UTF-8 text (byte 5: invalid continuation byte)\n"
 
 
 def test_replay_trace_nonempty_end(capsys, tmp_path):

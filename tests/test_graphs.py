@@ -13,6 +13,10 @@ from plumbcalc import DomainError, PlumbingGraph
         ({"a": -2}, [("a", "a")], "loop edge"),
         ({"a": -2, "b": 1}, [("a", "b"), ("b", "a")], "parallel edge"),
         ({"a": -2, "b": -2, "c": -2}, [("a", "b"), ("b", "c"), ("a", "c")], "closes a cycle"),
+        # weights are ints, never truncated or coerced to one
+        ({"a": -1.5}, [], "weight -1.5 is not an integer"),
+        ({"a": True}, [], "weight True is not an integer"),
+        ({"a": "-2"}, [], "weight '-2' is not an integer"),
     ],
 )
 def test_build_rejections(weights, edges, fragment):

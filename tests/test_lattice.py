@@ -22,7 +22,7 @@ from plumbcalc import (
     wu_class,
 )
 from plumbcalc import lattice
-from plumbcalc.lattice import _bareiss, _diagonalize, _forest_walk, _graph_walk
+from plumbcalc.lattice import _diagonalize, _forest_walk, _graph_walk
 
 
 def sparse(a):
@@ -79,6 +79,33 @@ def fraction_walk(weights, edges):
             det = Fraction(0)
     assert det.denominator == 1
     return sig, det.numerator
+
+
+def bareiss(a):
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination with row pivoting, O(n^3), on a copy of ``a``: the oracle
+    of the walk and of the diagonalization."""
+    a = [list(row) for row in a]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def brute_force_wu_indices(a):
@@ -232,7 +259,7 @@ def test_bareiss_and_diagonalization_agree():
     dets = set()
     for a in cases:
         sig, det = _diagonalize(*sparse(a))
-        assert det == _bareiss([row[:] for row in a])
+        assert det == bareiss(a)
         dets.add(det)
         # signature and determinant sign must be consistent
         if det != 0:
@@ -257,18 +284,14 @@ def record_calls(monkeypatch, *names):
 
 
 def test_matrix_routing(fixtures, monkeypatch):
-    # forests walk, other symmetric matrices diagonalize, and only
-    # non-symmetric ones reach Bareiss
-    calls = record_calls(monkeypatch, "_forest_walk", "_diagonalize", "_bareiss")
+    # forests walk and every other symmetric matrix diagonalizes
+    calls = record_calls(monkeypatch, "_forest_walk", "_diagonalize")
     rng = random.Random(17)
     for a in [gamma_style_matrix(rng) for _ in range(20)] + [zero_cycle(rng)]:
         calls.clear()
         assert determinant(a) == _diagonalize(*sparse(a))[1]
         signature(a)
-        assert "_bareiss" not in calls and "_diagonalize" in calls
-    calls.clear()
-    assert determinant([[2, 1], [3, 4]]) == 5
-    assert calls == ["_bareiss"]
+        assert calls == ["_forest_walk", "_diagonalize"] * 2
     m = linking_matrix(fixtures["d2"])
     calls.clear()
     determinant(m), signature(m)
@@ -282,7 +305,7 @@ def test_forest_walk_agrees_with_dense_routes():
         a = random_forest_matrix(rng, max_vertices=10)
         sig, det, wu = walk_matrix(a)
         assert (sig, det) == fraction_walk(*sparse(a))
-        assert det == determinant(a) == _bareiss([row[:] for row in a])
+        assert det == determinant(a) == bareiss(a)
         assert sig == signature(a) == _diagonalize(*sparse(a))[0]
         assert wu == dense_wu(a)
         if len(a) <= 8:
@@ -311,7 +334,7 @@ def test_zero_weight_chains(weights, det, sig):
     # zero effective weights pair with their parent as hyperbolic blocks
     g = path_graph(*weights)
     a = [list(row) for row in linking_matrix(g).entries]
-    assert (det, sig) == (_bareiss([row[:] for row in a]), _diagonalize(*sparse(a))[0])
+    assert (det, sig) == (bareiss(a), _diagonalize(*sparse(a))[0])
     assert (determinant(a), signature(a)) == (det, sig)
     walked_sig, walked_det, wu = _graph_walk(g)
     assert (walked_det, walked_sig) == (det, sig)
@@ -356,7 +379,7 @@ def test_zero_pairs_with_non_unit_children(weights, edges, sig, det):
     for i, j, b in edges:
         a[i][j] = a[j][i] = b
     assert fraction_walk(weights, edges) == (sig, det)
-    assert _bareiss([row[:] for row in a]) == det
+    assert bareiss(a) == det
     assert _diagonalize(weights, edges) == (sig, det)
     walked = _forest_walk(weights, edges)
     assert walked[:2] == (sig, det)
@@ -380,11 +403,12 @@ def test_non_forest_matrices_fall_back():
 
 
 def test_non_symmetric_matrices():
-    assert determinant([[1, 2], [0, 1]]) == 1
-    assert determinant([[2, 1], [3, 4]]) == 5
-    assert determinant([[0, 1], [0, 0]]) == 0
-    with pytest.raises(DomainError, match="matrix is not symmetric"):
-        signature([[1, 2], [0, 1]])
+    # determinant and signature share one contract: square, symmetric, ints
+    for m in ([[1, 2], [0, 1]], [[2, 1], [3, 4]], [[0, 1], [0, 0]]):
+        for fn in (determinant, signature):
+            with pytest.raises(DomainError) as info:
+                fn(m)
+            assert str(info.value) == "matrix is not symmetric"
 
 
 @pytest.mark.parametrize(
@@ -551,9 +575,7 @@ def test_rohlin_mu_bar(fixtures):
 
 def test_mu_bar_eliminates_once(fixtures, monkeypatch):
     # one forest walk per call, and no dense matrix or dense elimination
-    calls = record_calls(
-        monkeypatch, "_forest_walk", "linking_matrix", "_bareiss", "_diagonalize"
-    )
+    calls = record_calls(monkeypatch, "_forest_walk", "linking_matrix", "_diagonalize")
     for fn in (mu_bar, rohlin_mu_bar):
         calls.clear()
         fn(fixtures["d2"])

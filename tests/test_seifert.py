@@ -46,6 +46,9 @@ def test_triple_validation():
         BrieskornTriple(1, 2, 3)
     with pytest.raises(DomainError):
         BrieskornTriple(3, 3, 5)
+    for bad in (3.9, True, "3"):  # never truncated or coerced to an int
+        with pytest.raises(DomainError, match="is not an integer"):
+            BrieskornTriple(bad, 5, 7)
 
 
 def test_seifert_data_validation():
@@ -53,6 +56,10 @@ def test_seifert_data_validation():
         SeifertData(b=-1, arms=((4, 2),))  # not coprime
     with pytest.raises(DomainError):
         SeifertData(b=-1, arms=((4, 5),))  # beta out of range
+    for b, arms in [(-1.9, ((2, 1),)), (True, ((2, 1),)), ("-1", ((2, 1),)),
+                    (-1, ((3.0, 1),)), (-1, ((3, True),)), (-1, (("3", 1),))]:
+        with pytest.raises(DomainError, match="is not an integer"):
+            SeifertData(b=b, arms=arms)
 
 
 def test_brieskorn_seifert_5_9_13():
