@@ -57,7 +57,6 @@ from .seifert import (
     SeifertData,
     all_odd,
     brieskorn_seifert,
-    brieskorn_signature,
     brieskorn_signature_fast,
     rohlin_from_signature,
     star_plumbing,
@@ -100,7 +99,6 @@ __all__ = [
     "brieskorn_seifert",
     "star_plumbing",
     "all_odd",
-    "brieskorn_signature",
     "brieskorn_signature_fast",
     "rohlin_from_signature",
     # calculus

@@ -247,12 +247,17 @@ def blow_up_moves(g: PlumbingGraph) -> list[Move]:
 
 def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
     """Apply a move, re-checking its preconditions (and its recorded
-    pre-weights, when it carries them) against this graph."""
+    pre-weights, when it carries them) against this graph.  Every id the
+    move names, except a blow-up's new id, must be a vertex of g."""
     if move.kind not in _MOVE_ARITY:
         raise MoveError(f"unknown move kind {move.kind!r}")
     low, high = _MOVE_ARITY[move.kind]
     if not low <= len(move.ids) <= high:
         raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
+    if move.kind != "blowup":  # blow_up checks its attachments itself
+        for v in move.ids:
+            if v not in g._weight_map:
+                raise MoveError(f"cannot apply {move}: no vertex {v!r}")
     if move.pre is not None:
         for v, w in move.pre:
             if v not in g._weight_map or g.weight(v) != w:

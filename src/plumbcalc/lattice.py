@@ -28,11 +28,14 @@ graph itself and never build a matrix.
 ``determinant`` and ``signature`` take a square, symmetric matrix of ints
 and read it once, into its diagonal and its nonzero entries above it.  A
 matrix whose off-diagonal support is a forest goes through the integer
-walk, any other through sparse congruence diagonalization.
+walk, any other through sparse congruence diagonalization
+(``_diagonalize``), whose only step is the 1x1 pivot: an all-zero diagonal
+first gets a unimodular congruence that makes one diagonal entry nonzero.
 
 The test suite holds the walk equal to a walk over Fractions, to Bareiss
-elimination and to the diagonalization, the diagonalization equal to
-Bareiss, and the walk's Wu class to a dense GF(2) solve and brute-force
+elimination and to the diagonalization, the diagonalization's det equal to
+Bareiss and its signature to Descartes' rule on the characteristic
+polynomial, and the walk's Wu class to a dense GF(2) solve and brute-force
 search.
 """
 
@@ -245,11 +248,14 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
     diagonal ``weights`` and entries ``edges`` above it, as for _forest_walk.
 
     Returns (signature, determinant).  Works on a dict-of-dicts copy that
-    holds only the rows and columns not yet eliminated; pivoting prefers the
-    nonzero diagonal entry of minimum fill, then the lowest index.  The
-    determinant falls out as the product of the 1x1 pivots and the -b^2
-    factors of the hyperbolic 2x2 blocks (Schur-complement elimination
-    leaves det unchanged).
+    holds only the rows and columns not yet eliminated.  Every step is a
+    1x1 pivot on the nonzero diagonal entry of minimum fill, then lowest
+    index; its Schur complement leaves det unchanged, so det is the product
+    of the pivots.  When every remaining diagonal entry is zero, the lowest
+    index i with a neighbour takes its lowest neighbour j: adding row j to
+    row i and column j to column i is the congruence E A E^T with
+    E = I + e_i e_j^T.  det E = 1, so det and (by Sylvester's law) the
+    signature stay, and the new A[i][i] = 2 A[i][j] is the next pivot.
     """
     rows: dict[int, dict[int, Fraction | int]] = {
         i: {i: w} if w else {} for i, w in enumerate(weights)
@@ -259,19 +265,8 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
     sig = 0
     det: Fraction | int = 1
 
-    def eliminate(*block: int) -> list[dict]:
-        """Drop the block's rows and columns; return its rows."""
-        out = [rows.pop(i) for i in block]
-        for row in out:
-            for i in block:
-                row.pop(i, None)
-            for k in row:
-                for i in block:
-                    rows[k].pop(i, None)
-        return out
-
-    def update(k: int, l: int, delta) -> None:
-        new = rows[k].get(l, 0) - delta
+    def add(k: int, l: int, x) -> None:
+        new = rows[k].get(l, 0) + x
         if new:
             rows[k][l] = new
         else:
@@ -279,37 +274,27 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
 
     while rows:
         pivots = [(len(row), i) for i, row in rows.items() if i in row]
-        if pivots:
-            pivot = min(pivots)[1]
-            d = rows[pivot][pivot]
-            sig += 1 if d > 0 else -1
-            det *= d
-            (coeff,) = eliminate(pivot)
-            for k, xk in coeff.items():
-                for l, xl in coeff.items():
-                    update(k, l, Fraction(xk * xl) / d)
+        if not pivots:
+            linked = [i for i, row in rows.items() if row]
+            if not linked:
+                det = 0  # remaining block is identically zero
+                break
+            i = min(linked)
+            j = min(rows[i])
+            for k, x in rows[j].items():
+                add(i, k, x)
+                add(k, i, x)  # twice into A[i][i] when k == i
             continue
-        # Every remaining diagonal entry is zero: hyperbolic split on the
-        # lowest index that has a neighbour, with its lowest neighbour.
-        linked = [i for i, row in rows.items() if row]
-        if not linked:
-            det = 0  # remaining block is identically zero
-            break
-        i = min(linked)
-        j = min(rows[i])
-        b = rows[i][j]
-        coeff_i, coeff_j = eliminate(i, j)
-        touched = coeff_i.keys() | coeff_j.keys()
-        for k in touched:
-            for l in touched:
-                delta = (
-                    coeff_i.get(k, 0) * coeff_j.get(l, 0)
-                    + coeff_j.get(k, 0) * coeff_i.get(l, 0)
-                )
-                if delta:
-                    update(k, l, Fraction(delta) / b)
-        det *= -b * b
-        # one positive and one negative eigenvalue: sig += 0
+        pivot = min(pivots)[1]
+        coeff = rows.pop(pivot)
+        d = coeff.pop(pivot)
+        sig += 1 if d > 0 else -1
+        det *= d
+        for k in coeff:
+            rows[k].pop(pivot)
+        for k, xk in coeff.items():
+            for l, xl in coeff.items():
+                add(k, l, Fraction(-xk * xl) / d)
 
     det_frac = Fraction(det)
     if det_frac.denominator != 1:

@@ -16,13 +16,13 @@ the Rohlin invariant mod 2 does not depend on it.
 The signature of the Milnor fiber that the program uses is eight times
 the Casson invariant, from the Fukuhara-Matsumoto-Sakamoto / Neumann-Wahl
 formula in Dedekind sums (``_casson_signature``); reciprocity evaluates each
-Dedekind sum in O(log a) steps.  Two lattice-point counts are its oracles:
+Dedekind sum in O(log a) steps.  Its oracle is a lattice-point count:
 over 1 <= i < a1, 1 <= j < a2, 1 <= k < a3, reduce
 s = i/a1 + j/a2 + k/a3 into (0, 2) mod 2; points with s in (0, 1) count +1,
 points with s in (1, 2) count -1 (s is never an integer by coprimality).
-``brieskorn_signature`` is the direct triple loop, O(a1*a2*a3);
-``brieskorn_signature_fast`` counts the same points per (i, j) pair with
-exact integer window arithmetic, O(a1*a2).  The tests hold all three equal.
+``brieskorn_signature_fast`` counts these points per (i, j) pair with exact
+integer window arithmetic, O(a1*a2); it is the one count left here.  The
+tests hold it and the formula equal to the direct O(a1*a2*a3) triple loop.
 
 For an all-odd triple the Milnor fiber is spin and sigma/8 mod 2 is the
 Rohlin invariant; this is one of the two independent routes to mu (the
@@ -45,7 +45,6 @@ __all__ = [
     "brieskorn_seifert",
     "star_plumbing",
     "all_odd",
-    "brieskorn_signature",
     "brieskorn_signature_fast",
     "rohlin_from_signature",
 ]
@@ -153,37 +152,11 @@ def star_plumbing(s: SeifertData) -> PlumbingGraph:
     return PlumbingGraph.build(weights, edges)
 
 
-def brieskorn_signature(t: BrieskornTriple) -> int:
-    """Milnor-fiber signature by direct enumeration of all
-    (a1-1)(a2-1)(a3-1) lattice points.  O(a1*a2*a3); the unimpeachable
-    oracle the fast variant is tested against."""
-    a1, a2, a3 = t.indices
-    n = t.product
-    two_n = 2 * n
-    bc = a2 * a3
-    ac = a1 * a3
-    ab = a1 * a2
-    k_terms = [k * ab for k in range(1, a3)]
-    pos = neg = 0
-    for i in range(1, a1):
-        x = i * bc
-        for j in range(1, a2):
-            y = x + j * ac
-            for kt in k_terms:
-                s = (y + kt) % two_n
-                assert s != 0 and s != n  # never integral, by coprimality
-                if s < n:
-                    pos += 1
-                else:
-                    neg += 1
-    return pos - neg
-
-
 def brieskorn_signature_fast(t: BrieskornTriple) -> int:
-    """Same signature in O(a1*a2): for each (i, j) the +1 points are the
-    integers k in (0, a3*(m-u)/m) or (a3*(2m-u)/m, a3) with m = a1*a2 and
-    u = i*a2 + j*a1; the window endpoints are never integers, so exact
-    floor counts suffice."""
+    """Milnor-fiber signature as the lattice-point count, in O(a1*a2): for
+    each (i, j) the +1 points are the integers k in (0, a3*(m-u)/m) or
+    (a3*(2m-u)/m, a3) with m = a1*a2 and u = i*a2 + j*a1; the window
+    endpoints are never integers, so exact floor counts suffice."""
     a1, a2, a3 = t.indices
     m = a1 * a2
     total = (a1 - 1) * (a2 - 1) * (a3 - 1)

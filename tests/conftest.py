@@ -63,6 +63,32 @@ def coprime_triples(lo: int, hi: int, odd_only: bool = False):
     return out
 
 
+def brieskorn_signature(t) -> int:
+    """Milnor-fiber signature of the BrieskornTriple t by direct enumeration
+    of all (a1-1)(a2-1)(a3-1) lattice points, O(a1*a2*a3): the oracle of the
+    per-pair count and of the Casson/Dedekind-sum formula."""
+    a1, a2, a3 = t.indices
+    n = t.product
+    two_n = 2 * n
+    bc = a2 * a3
+    ac = a1 * a3
+    ab = a1 * a2
+    k_terms = [k * ab for k in range(1, a3)]
+    pos = neg = 0
+    for i in range(1, a1):
+        x = i * bc
+        for j in range(1, a2):
+            y = x + j * ac
+            for kt in k_terms:
+                s = (y + kt) % two_n
+                assert s != 0 and s != n  # never integral, by coprimality
+                if s < n:
+                    pos += 1
+                else:
+                    neg += 1
+    return pos - neg
+
+
 @pytest.fixture(scope="session")
 def fixtures():
     return {name: fixture_graph(name) for name in FIXTURE_NAMES}

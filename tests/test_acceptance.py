@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import coprime_triples, random_forest
+from conftest import brieskorn_signature, coprime_triples, random_forest
 from plumbcalc import (
     BrieskornTriple,
     Verdict,
@@ -23,7 +23,6 @@ from plumbcalc import (
     applicable_moves,
     apply_move,
     brieskorn_seifert,
-    brieskorn_signature,
     brieskorn_signature_fast,
     canonical_form,
     determinant,

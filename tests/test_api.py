@@ -15,13 +15,12 @@ MODULE_ALL = {
         "ReductionVerdict", "ScanParams", "ScanRecord", "SeifertData",
         "SingularError", "Verdict", "__version__", "absorb_zero", "all_odd",
         "all_odd_mu1_triples", "applicable_moves", "apply_move", "bezout",
-        "blow_down", "blow_up", "brieskorn_seifert", "brieskorn_signature",
-        "brieskorn_signature_fast", "cancel_zero_pair", "candidate_triple",
-        "canonical_form", "determinant", "eval_neg_cont_frac", "format_graph",
-        "format_trace", "linking_matrix", "mu_bar", "neg_cont_frac", "parse_graph",
-        "parse_trace", "reduce_to_s3", "rohlin_from_signature", "rohlin_mu_bar",
-        "scan_range", "signature", "split_zero", "star_plumbing",
-        "surgery_coefficient", "to_dot", "wu_class",
+        "blow_down", "blow_up", "brieskorn_seifert", "brieskorn_signature_fast",
+        "cancel_zero_pair", "candidate_triple", "canonical_form", "determinant",
+        "eval_neg_cont_frac", "format_graph", "format_trace", "linking_matrix",
+        "mu_bar", "neg_cont_frac", "parse_graph", "parse_trace", "reduce_to_s3",
+        "rohlin_from_signature", "rohlin_mu_bar", "scan_range", "signature",
+        "split_zero", "star_plumbing", "surgery_coefficient", "to_dot", "wu_class",
     ],
     "plumbcalc.arith": ["bezout", "eval_neg_cont_frac", "neg_cont_frac"],
     "plumbcalc.calculus": [
@@ -45,8 +44,7 @@ MODULE_ALL = {
     ],
     "plumbcalc.seifert": [
         "BrieskornTriple", "SeifertData", "all_odd", "brieskorn_seifert",
-        "brieskorn_signature", "brieskorn_signature_fast", "rohlin_from_signature",
-        "star_plumbing",
+        "brieskorn_signature_fast", "rohlin_from_signature", "star_plumbing",
     ],
 }
 

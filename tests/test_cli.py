@@ -198,11 +198,25 @@ def test_reduce_parse_error(capsys, tmp_path):
     assert code == 2 and "bad.graph:2" in err
 
 
-def test_replay_trace_rejects_invalid_moves(capsys, tmp_path):
+INVALID_MOVES = [
+    ("blowdown a", "cannot blow down 'a'"),
+    # a move naming a missing vertex is a failed replay, whatever its kind
+    ("blowdown zz", "no vertex 'zz'"),
+    ("absorb zz", "no vertex 'zz'"),
+    ("split zz", "no vertex 'zz'"),
+    ("cancel a zz", "no vertex 'zz'"),
+    ("blowup -1 zz qq", "missing vertex 'qq'"),
+]
+
+
+@pytest.mark.parametrize("move, message", INVALID_MOVES, ids=[m for m, _ in INVALID_MOVES])
+def test_replay_trace_rejects_invalid_moves(capsys, tmp_path, move, message):
     f = tmp_path / "bad.trace"
-    f.write_text("vertex a -2\nvertex b 0\nedge a b\nblowdown a\n")
-    code, _, err = run(capsys, "replay-trace", str(f))
-    assert code == 1 and "blow down" in err
+    f.write_text(f"vertex a -2\nvertex b 0\nedge a b\n{move}\n")
+    code, out, err = run(capsys, "replay-trace", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_replay_trace_missing_file(capsys):

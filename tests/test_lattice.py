@@ -108,6 +108,35 @@ def bareiss(a):
     return sign * a[n - 1][n - 1]
 
 
+def descartes_signature(a):
+    """Signature of a symmetric integer matrix from its characteristic
+    polynomial p(x) = det(xI - a), with no elimination: Faddeev-LeVerrier
+    gives p's coefficients in integers (each trace divides exactly by k),
+    and since every eigenvalue is real, Descartes' rule of signs counts
+    them exactly: positive ones are the sign variations of p(x), negative
+    ones those of p(-x), zero coefficients skipped."""
+    n = len(a)
+    coeffs = [1]  # c_n, c_(n-1), ..., c_0 of p
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = a M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(a M_k) / k
+        m = [
+            [sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(a[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+
+    def variations(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    flipped = [c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return variations(coeffs) - variations(flipped)
+
+
 def brute_force_wu_indices(a):
     """All index subsets S with sum_{u in S} a[v][u] = a[v][v] (mod 2) for
     every v, found by exhaustive search over the 2^n subsets."""
@@ -245,6 +274,7 @@ def zero_cycle(rng):
 
 
 def test_bareiss_and_diagonalization_agree():
+    # det against Bareiss, signature against the characteristic polynomial
     rng = random.Random(99)
     cases = []
     for _ in range(150):
@@ -260,6 +290,7 @@ def test_bareiss_and_diagonalization_agree():
     for a in cases:
         sig, det = _diagonalize(*sparse(a))
         assert det == bareiss(a)
+        assert sig == signature(a) == descartes_signature(a)
         dets.add(det)
         # signature and determinant sign must be consistent
         if det != 0:

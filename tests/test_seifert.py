@@ -4,14 +4,13 @@ from math import gcd
 
 import pytest
 
-from conftest import coprime_triples
+from conftest import brieskorn_signature, coprime_triples
 from plumbcalc import (
     BrieskornTriple,
     DomainError,
     SeifertData,
     all_odd,
     brieskorn_seifert,
-    brieskorn_signature,
     brieskorn_signature_fast,
     canonical_form,
     determinant,
