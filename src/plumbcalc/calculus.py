@@ -1,8 +1,11 @@
 """Plumbing-calculus rewriting: W. Neumann's moves on weighted forests, and
 a reducer that certifies diagrams as S^3 with replayable move traces.
 
-Moves never mutate; each returns a freshly validated graph, so forest and
-simplicity invariants hold for every intermediate diagram by construction.
+Every move's preconditions and edits live in one place, a private mutable
+diagram (weights and adjacency).  The public moves and ``apply_move``
+return validated graphs; the greedy pass and trace replay edit one private
+copy and validate only the graph it ends as, which is enough because each
+move keeps a simple forest a simple forest when its preconditions hold.
 Every move preserves |det| of the linking matrix, so the reducer rejects
 |det| != 1 inputs immediately and never re-checks determinants.  The moves
 are the blow-down and its inverse, the blow-up; W. Neumann's 0-chain
@@ -12,12 +15,12 @@ AMS 268, 1981), of which the zero-pair cancellation is the case of a
 two-vertex component; and the chain rewrite, which is e - 1 blow-ups
 followed by one blow-down and so needs no move of its own.
 
-The reducer first runs one deterministic greedy pass on a private mutable
-copy of the weights and adjacency, building no graph per move: it applies
-blow-downs in (valence, id) order while any applies, then a zero move
-(splitting before absorption, by id), then a chain rewrite, and repeats.
+The reducer first runs one deterministic greedy pass on such a copy,
+building no graph per move: it applies blow-downs in (valence, id) order
+while any applies, then a zero move (splitting before absorption, by id),
+then a chain rewrite, and repeats.
 A pass that reaches the empty diagram is an S3 verdict, and its trace is
-replay-verified through ``apply_move`` like every other.
+replay-verified like every other.
 
 When the pass stops short, the reducer falls back to a breadth-first search
 from the start diagram over blow-downs and cancellations, with
@@ -38,7 +41,7 @@ from enum import Enum
 from itertools import count
 
 from .errors import DomainError, MoveError
-from .graphs import PlumbingGraph
+from .graphs import VERTEX_ID_RE, PlumbingGraph
 from .lattice import _graph_walk
 
 __all__ = [
@@ -101,17 +104,7 @@ def blow_down(g: PlumbingGraph, v: str) -> PlumbingGraph:
     """Blow down a vertex of weight +-1 and valence <= 2: the vertex goes
     away, each former neighbor's weight drops by the blown weight, and two
     former neighbors become adjacent.  |det| is unchanged."""
-    eps = g.weight(v)
-    if eps not in (1, -1):
-        raise MoveError(f"cannot blow down {v!r}: weight {eps} is not +-1")
-    nbrs = g.neighbors(v)
-    if len(nbrs) > 2:
-        raise MoveError(f"cannot blow down {v!r}: valence {len(nbrs)} > 2")
-    return g.replace(
-        drop=(v,),
-        reweight={n: g.weight(n) - eps for n in nbrs},
-        add_edges=[nbrs] if len(nbrs) == 2 else (),
-    )
+    return apply_move(g, Move("blowdown", (v,)))
 
 
 def blow_up(
@@ -121,31 +114,7 @@ def blow_up(
     attachments, raising each attachment's weight by the new weight.  A
     two-vertex attachment must be an existing edge, which the new vertex
     splits (undoing the edge a valence-2 blow-down would create)."""
-    if type(weight) is not int or weight not in (1, -1):
-        raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
-    if new_id in g._weight_map:
-        raise MoveError(f"vertex id {new_id!r} already in use")
-    attach = tuple(attach)
-    if len(attach) > 2 or len(set(attach)) != len(attach):
-        raise MoveError("blow-up attaches to at most 2 distinct vertices")
-    for v in attach:
-        if v not in g._weight_map:
-            raise MoveError(f"cannot attach to missing vertex {v!r}")
-    weights = {v: w for v, w in g.vertices}
-    for v in attach:
-        weights[v] += weight
-    weights[new_id] = weight
-    edges = list(g.edges)
-    if len(attach) == 2:
-        u, w = attach
-        key = (u, w) if u < w else (w, u)
-        if key not in edges:
-            raise MoveError(
-                f"two-point blow-up needs an existing edge ({u!r}, {w!r}) to split"
-            )
-        edges.remove(key)
-    edges.extend((new_id, v) for v in attach)
-    return PlumbingGraph.build(weights, edges)
+    return apply_move(g, Move("blowup", (new_id, *attach), weight=weight))
 
 
 def cancel_zero_pair(g: PlumbingGraph, edge: tuple[str, str]) -> PlumbingGraph:
@@ -153,32 +122,14 @@ def cancel_zero_pair(g: PlumbingGraph, edge: tuple[str, str]) -> PlumbingGraph:
     partner weight is irrelevant: the component's linking determinant is -1
     regardless, so the summand it bounds is S^3."""
     u, v = edge
-    if not g.has_edge(u, v):
-        raise MoveError(f"no edge ({u!r}, {v!r})")
-    if g.valence(u) != 1 or g.valence(v) != 1:
-        raise MoveError(
-            f"cannot cancel ({u!r}, {v!r}): the edge is not a whole component"
-        )
-    if g.weight(u) != 0 and g.weight(v) != 0:
-        raise MoveError(f"cannot cancel ({u!r}, {v!r}): neither endpoint has weight 0")
-    return g.replace(drop=(u, v))
+    return apply_move(g, Move("cancel", (u, v)))
 
 
 def absorb_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
     """0-chain absorption: a weight-0 vertex of valence 2 goes away and its
     neighbors u < w merge into u, of weight w_u + w_w, which takes over w's
     other edges.  |det| is unchanged."""
-    if g.weight(v) != 0:
-        raise MoveError(f"cannot absorb {v!r}: weight {g.weight(v)} is not 0")
-    nbrs = g.neighbors(v)
-    if len(nbrs) != 2:
-        raise MoveError(f"cannot absorb {v!r}: valence {len(nbrs)} is not 2")
-    u, w = nbrs
-    return g.replace(
-        drop=(v, w),
-        reweight={u: g.weight(u) + g.weight(w)},
-        add_edges=[(u, x) for x in g.neighbors(w) if x != v],
-    )
+    return apply_move(g, Move("absorb", (v,)))
 
 
 def split_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
@@ -186,12 +137,7 @@ def split_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
     neighbor's other branches become separate components.  |det| is
     unchanged: expanding along the leaf's row leaves +-det of the rest.
     ``cancel_zero_pair`` is the case where the neighbor is a leaf too."""
-    if g.weight(v) != 0:
-        raise MoveError(f"cannot split at {v!r}: weight {g.weight(v)} is not 0")
-    nbrs = g.neighbors(v)
-    if len(nbrs) != 1:
-        raise MoveError(f"cannot split at {v!r}: valence {len(nbrs)} is not 1")
-    return g.replace(drop=(v, *nbrs))
+    return apply_move(g, Move("split", (v,)))
 
 
 def applicable_moves(g: PlumbingGraph) -> list[Move]:
@@ -249,38 +195,154 @@ def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
     """Apply a move, re-checking its preconditions (and its recorded
     pre-weights, when it carries them) against this graph.  Every id the
     move names, except a blow-up's new id, must be a vertex of g."""
-    if move.kind not in _MOVE_ARITY:
-        raise MoveError(f"unknown move kind {move.kind!r}")
-    low, high = _MOVE_ARITY[move.kind]
-    if not low <= len(move.ids) <= high:
-        raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
-    if move.kind != "blowup":  # blow_up checks its attachments itself
-        for v in move.ids:
-            if v not in g._weight_map:
-                raise MoveError(f"cannot apply {move}: no vertex {v!r}")
-    if move.pre is not None:
-        for v, w in move.pre:
-            if v not in g._weight_map or g.weight(v) != w:
-                raise MoveError(
-                    f"move {move} was recorded against a different graph "
-                    f"(vertex {v!r} weight mismatch)"
-                )
-    if move.kind == "blowdown":
-        (v,) = move.ids
-        return blow_down(g, v)
-    if move.kind == "cancel":
-        u, v = move.ids
-        return cancel_zero_pair(g, (u, v))
-    if move.kind == "absorb":
-        (v,) = move.ids
-        return absorb_zero(g, v)
-    if move.kind == "split":
-        (v,) = move.ids
-        return split_zero(g, v)
-    # the one kind left is blowup
-    if move.weight is None:
-        raise MoveError("blow-up move carries no weight")
-    return blow_up(g, move.ids[0], move.weight, move.ids[1:])
+    return _replay(g, (move,))
+
+
+def _replay(start: PlumbingGraph, moves) -> PlumbingGraph:
+    """Apply the moves in order to one mutable copy of start, and build the
+    graph they end at: one validation however many moves there are."""
+    diagram = _Diagram(start)
+    for move in moves:
+        diagram.apply(move)
+    return diagram.graph()
+
+
+class _Diagram:
+    """A mutable copy of a graph's weights and adjacency, and the one place
+    where each move's preconditions are checked and its edits made.
+    When its preconditions hold a move keeps the diagram a simple forest:
+    a valence-2 blow-down joins two vertices that are in separate trees
+    once the blown vertex is gone, an absorption merges two trees, and a
+    two-point blow-up splits an existing edge.  So only the graph that
+    ``graph`` builds at the end needs validating."""
+
+    def __init__(self, g: PlumbingGraph):
+        self.weight = dict(g._weight_map)
+        self.adj = dict(g._adjacency)  # sorted neighbor tuples, made sets when edited
+
+    def graph(self) -> PlumbingGraph:
+        adj = self.adj
+        g = PlumbingGraph.build(self.weight, [(u, x) for u in adj for x in adj[u] if u < x])
+        # build checked the edges read off adj, so adj, its sets sorted, is
+        # g's adjacency: g need not recompute it
+        g.__dict__["_adjacency"] = {
+            v: ns if type(ns) is tuple else tuple(sorted(ns)) for v, ns in adj.items()
+        }
+        return g
+
+    def pre(self, *vs: str) -> tuple[tuple[str, int], ...]:
+        """The weights of vs, as a move records them."""
+        return tuple(sorted((v, self.weight[v]) for v in vs))
+
+    def apply(self, move: Move) -> None:
+        if move.kind not in _MOVE_ARITY:
+            raise MoveError(f"unknown move kind {move.kind!r}")
+        low, high = _MOVE_ARITY[move.kind]
+        if not low <= len(move.ids) <= high:
+            raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
+        if move.kind != "blowup":  # blowup checks its attachments itself
+            for v in move.ids:
+                if v not in self.weight:
+                    raise MoveError(f"cannot apply {move}: no vertex {v!r}")
+        if move.pre is not None:
+            for v, w in move.pre:
+                if v not in self.weight or self.weight[v] != w:
+                    raise MoveError(
+                        f"move {move} was recorded against a different graph "
+                        f"(vertex {v!r} weight mismatch)"
+                    )
+        if move.kind != "blowup":
+            getattr(self, move.kind)(*move.ids)
+        elif move.weight is None:
+            raise MoveError("blow-up move carries no weight")
+        else:
+            self.blowup(move.weight, *move.ids)
+
+    def _edit(self, v: str) -> set[str]:
+        ns = self.adj[v]
+        if type(ns) is not set:
+            ns = self.adj[v] = set(ns)
+        return ns
+
+    def _drop(self, v: str) -> None:
+        for n in self.adj.pop(v):
+            self._edit(n).discard(v)
+        del self.weight[v]
+
+    def _join(self, u: str, v: str) -> None:
+        self._edit(u).add(v)
+        self._edit(v).add(u)
+
+    def blowdown(self, v: str) -> None:
+        eps, nbrs = self.weight[v], tuple(self.adj[v])
+        if eps not in (1, -1):
+            raise MoveError(f"cannot blow down {v!r}: weight {eps} is not +-1")
+        if len(nbrs) > 2:
+            raise MoveError(f"cannot blow down {v!r}: valence {len(nbrs)} > 2")
+        self._drop(v)
+        for n in nbrs:
+            self.weight[n] -= eps
+        if len(nbrs) == 2:
+            self._join(*nbrs)
+
+    def blowup(self, weight: int, new_id: str, *attach: str) -> None:
+        if type(weight) is not int or weight not in (1, -1):
+            raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
+        if new_id in self.weight:
+            raise MoveError(f"vertex id {new_id!r} already in use")
+        if len(set(attach)) != len(attach):
+            raise MoveError("blow-up attaches to at most 2 distinct vertices")
+        for v in attach:
+            if v not in self.weight:
+                raise MoveError(f"cannot attach to missing vertex {v!r}")
+        edge = attach if len(attach) == 2 else ()
+        if edge and edge[1] not in self.adj[edge[0]]:
+            raise MoveError(
+                f"two-point blow-up needs an existing edge ({edge[0]!r}, {edge[1]!r}) to split"
+            )
+        if not isinstance(new_id, str) or not VERTEX_ID_RE.match(new_id):
+            raise MoveError(f"bad vertex id {new_id!r} for a blow-up")
+        if edge:
+            self._edit(edge[0]).remove(edge[1])
+            self._edit(edge[1]).remove(edge[0])
+        self.weight[new_id] = weight
+        self.adj[new_id] = set()
+        for v in attach:
+            self.weight[v] += weight
+            self._join(new_id, v)
+
+    def cancel(self, u: str, v: str) -> None:
+        if v not in self.adj[u]:
+            raise MoveError(f"no edge ({u!r}, {v!r})")
+        if len(self.adj[u]) != 1 or len(self.adj[v]) != 1:
+            raise MoveError(
+                f"cannot cancel ({u!r}, {v!r}): the edge is not a whole component"
+            )
+        if self.weight[u] != 0 and self.weight[v] != 0:
+            raise MoveError(f"cannot cancel ({u!r}, {v!r}): neither endpoint has weight 0")
+        self._drop(u)
+        self._drop(v)
+
+    def absorb(self, v: str) -> None:
+        if self.weight[v] != 0:
+            raise MoveError(f"cannot absorb {v!r}: weight {self.weight[v]} is not 0")
+        if len(self.adj[v]) != 2:
+            raise MoveError(f"cannot absorb {v!r}: valence {len(self.adj[v])} is not 2")
+        u, w = sorted(self.adj[v])
+        self._drop(v)
+        self.weight[u] += self.weight[w]
+        for x in self.adj[w]:
+            self._join(u, x)
+        self._drop(w)
+
+    def split(self, v: str) -> None:
+        if self.weight[v] != 0:
+            raise MoveError(f"cannot split at {v!r}: weight {self.weight[v]} is not 0")
+        if len(self.adj[v]) != 1:
+            raise MoveError(f"cannot split at {v!r}: valence {len(self.adj[v])} is not 1")
+        (u,) = self.adj[v]
+        self._drop(v)
+        self._drop(u)
 
 
 @dataclass(frozen=True)
@@ -293,9 +355,7 @@ class MoveTrace:
     end: PlumbingGraph
 
     def replay(self) -> PlumbingGraph:
-        g = self.start
-        for move in self.moves:
-            g = apply_move(g, move)
+        g = _replay(self.start, self.moves)
         if g != self.end:
             raise MoveError("trace replay did not reproduce the recorded end graph")
         return g
@@ -421,59 +481,10 @@ def _greedy_pass(g: PlumbingGraph, budget: int) -> MoveTrace:
     Phi (Phi + 1) / 2 by at least 4 Phi - 6.  Hence n + Phi (Phi + 1) / 2
     falls at every step, and its start value bounds the number of steps.
     """
-    weight = dict(g._weight_map)
-    adj = {v: set(ns) for v, ns in g._adjacency.items()}
+    diagram = _Diagram(g)
+    weight, adj = diagram.weight, diagram.adj
     moves: list[Move] = []
     fresh = (f"z{k}" for k in count() if f"z{k}" not in g._weight_map)
-
-    def pre(*vs):
-        return tuple(sorted((v, weight[v]) for v in vs))
-
-    def drop(v):
-        for n in adj.pop(v):
-            adj[n].discard(v)
-        del weight[v]
-
-    def blowdown(v):
-        eps, nbrs = weight[v], sorted(adj[v])
-        moves.append(Move("blowdown", (v,), pre=pre(v, *nbrs)))
-        drop(v)
-        for n in nbrs:
-            weight[n] -= eps
-        if len(nbrs) == 2:
-            a, b = nbrs
-            adj[a].add(b)
-            adj[b].add(a)
-
-    def blowup(z, v, u):  # a -1 vertex z splits the edge v-u
-        moves.append(Move("blowup", (z, v, u), weight=-1, pre=pre(v, u)))
-        adj[v].remove(u)
-        adj[u].remove(v)
-        adj[z] = {v, u}
-        adj[v].add(z)
-        adj[u].add(z)
-        weight[z], weight[v], weight[u] = -1, weight[v] - 1, weight[u] - 1
-
-    def zero_move(v):
-        nbrs = sorted(adj[v])
-        if len(nbrs) == 2:
-            u, w = nbrs
-            moves.append(Move("absorb", (v,), pre=pre(v, u, w)))
-            drop(v)
-            weight[u] += weight[w]
-            for x in adj[w]:
-                adj[x].add(u)
-                adj[u].add(x)
-            drop(w)
-            return
-        (u,) = nbrs
-        if len(adj[u]) == 1:
-            moves.append(Move("cancel", tuple(sorted((u, v))), pre=pre(u, v)))
-        else:
-            moves.append(Move("split", (v,), pre=pre(v, u)))
-        drop(v)
-        drop(u)
-
     phi = sum(max(1, w + 3) for w in weight.values())
     bound = len(weight) + phi * (phi + 1) // 2
     steps = 0
@@ -491,19 +502,22 @@ def _greedy_pass(g: PlumbingGraph, budget: int) -> MoveTrace:
             break
         steps += 1
         assert steps <= bound, "the reduction measure bounds the greedy pass"
-        if rank == 0:
-            blowdown(v)
-        elif rank == 1:
-            zero_move(v)
-        else:  # chain rewrite: e - 1 blow-ups next to v bring it to +1
+        if rank == 2:  # chain rewrite: e - 1 blow-ups next to v bring it to +1
             u = min(adj[v])
             for _ in range(e - 1):
                 z = next(fresh)
-                blowup(z, v, u)
+                moves.append(Move("blowup", (z, v, u), weight=-1, pre=diagram.pre(v, u)))
+                diagram.apply(moves[-1])
                 u = z
-            blowdown(v)
-    end = PlumbingGraph.build(weight, [(u, x) for u in adj for x in adj[u] if u < x])
-    return MoveTrace(start=g, moves=tuple(moves), end=end)
+        nbrs = sorted(adj[v])
+        kind, ids = "blowdown", (v,)
+        if rank == 1:
+            kind = "absorb" if len(nbrs) == 2 else "split"
+            if kind == "split" and len(adj[nbrs[0]]) == 1:
+                kind, ids = "cancel", tuple(sorted((v, *nbrs)))
+        moves.append(Move(kind, ids, pre=diagram.pre(v, *nbrs)))
+        diagram.apply(moves[-1])
+    return MoveTrace(start=g, moves=tuple(moves), end=diagram.graph())
 
 
 def _pass_rank(w: int, valence: int) -> int | None:

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .calculus import DEFAULT_BUDGET, Verdict, apply_move, reduce_to_s3
+from .calculus import DEFAULT_BUDGET, Verdict, _replay, reduce_to_s3
 from .errors import (
     DomainError,
     GraphFormatError,
@@ -225,9 +225,7 @@ def cmd_replay_trace(args) -> int:
     if not path.is_file():
         raise GraphFormatError(f"{args.trace}: no such file")
     start, moves = parse_trace(_read_text(path), source=str(path))
-    g = start
-    for move in moves:
-        g = apply_move(g, move)
+    g = _replay(start, moves)
     print(f"replay ok: {len(moves)} moves, end graph has {len(g)} vertices")
     end_text = format_graph(g)
     if end_text:

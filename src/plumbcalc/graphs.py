@@ -6,11 +6,12 @@ component is a tree.  Vertex ids are opaque string tokens; everything that
 matters mathematically is invariant under relabeling, but deterministic
 output (matrices, file formats, search order) always sorts by id.
 
-Instances are immutable; the calculus moves build new graphs rather than
-mutating.  Every invariant is checked in one place, the incremental
-``_ForestBuilder`` below: ``PlumbingGraph.build`` feeds it a whole graph and
-the graphio parser feeds it one line at a time, so any PlumbingGraph in hand
-is a genuine simple forest.
+Instances are immutable; the calculus edits a private mutable copy of a
+graph's weights and adjacency, and builds a new graph from it when done.
+Every invariant is checked in one place, the incremental ``_ForestBuilder``
+below: ``PlumbingGraph.build`` feeds it a whole graph and the graphio parser
+feeds it one line at a time, so any PlumbingGraph in hand is a genuine
+simple forest.
 """
 
 from __future__ import annotations
@@ -111,22 +112,6 @@ class PlumbingGraph:
             seen |= comp
             comps.append(frozenset(comp))
         return tuple(sorted(comps, key=min))
-
-    # -- derivation helpers used by the calculus moves -----------------------
-
-    def replace(self, drop=(), reweight=None, add_edges=()) -> "PlumbingGraph":
-        """New graph with ``drop`` vertices removed (with their edges),
-        weights updated from the ``reweight`` mapping, and ``add_edges``
-        added.  Full invariant validation reruns on the result."""
-        drop = set(drop)
-        weights = {v: w for v, w in self.vertices if v not in drop}
-        for v, w in (reweight or {}).items():
-            if v not in weights:
-                raise DomainError(f"cannot reweight missing vertex {v!r}")
-            weights[v] = w
-        edges = [e for e in self.edges if e[0] not in drop and e[1] not in drop]
-        edges.extend(add_edges)
-        return PlumbingGraph.build(weights, edges)
 
     def relabeled(self, mapping) -> "PlumbingGraph":
         """Apply an injective id relabeling (used by invariance tests)."""

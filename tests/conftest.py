@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from plumbcalc import PlumbingGraph
+from plumbcalc import MoveError, PlumbingGraph
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
 
 # Weight pool biased toward the values the calculus cares about (+-1, 0, -2).
@@ -87,6 +87,125 @@ def brieskorn_signature(t) -> int:
                 else:
                     neg += 1
     return pos - neg
+
+
+# -- the move oracle: each move rebuilds and revalidates the whole graph ------
+
+
+def _rebuilt(g, drop=(), reweight=None, add_edges=()):
+    """g without the ``drop`` vertices, with weights from ``reweight`` and
+    with ``add_edges`` added, built and validated from scratch."""
+    weights = {v: w for v, w in g.vertices if v not in drop}
+    for v, w in (reweight or {}).items():
+        assert v in weights
+        weights[v] = w
+    edges = [e for e in g.edges if e[0] not in drop and e[1] not in drop]
+    return PlumbingGraph.build(weights, [*edges, *add_edges])
+
+
+def oracle_blow_down(g, v):
+    eps = g.weight(v)
+    if eps not in (1, -1):
+        raise MoveError(f"cannot blow down {v!r}: weight {eps} is not +-1")
+    nbrs = g.neighbors(v)
+    if len(nbrs) > 2:
+        raise MoveError(f"cannot blow down {v!r}: valence {len(nbrs)} > 2")
+    return _rebuilt(
+        g,
+        drop=(v,),
+        reweight={n: g.weight(n) - eps for n in nbrs},
+        add_edges=[nbrs] if len(nbrs) == 2 else (),
+    )
+
+
+def oracle_blow_up(g, new_id, weight, attach=()):
+    if type(weight) is not int or weight not in (1, -1):
+        raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
+    if new_id in g._weight_map:
+        raise MoveError(f"vertex id {new_id!r} already in use")
+    attach = tuple(attach)
+    if len(attach) > 2 or len(set(attach)) != len(attach):
+        raise MoveError("blow-up attaches to at most 2 distinct vertices")
+    for v in attach:
+        if v not in g._weight_map:
+            raise MoveError(f"cannot attach to missing vertex {v!r}")
+    weights = dict(g.vertices)
+    for v in attach:
+        weights[v] += weight
+    weights[new_id] = weight
+    edges = list(g.edges)
+    if len(attach) == 2:
+        u, w = attach
+        key = (u, w) if u < w else (w, u)
+        if key not in edges:
+            raise MoveError(f"two-point blow-up needs an existing edge ({u!r}, {w!r}) to split")
+        edges.remove(key)
+    edges.extend((new_id, v) for v in attach)
+    return PlumbingGraph.build(weights, edges)
+
+
+def oracle_cancel_zero_pair(g, edge):
+    u, v = edge
+    if not g.has_edge(u, v):
+        raise MoveError(f"no edge ({u!r}, {v!r})")
+    if g.valence(u) != 1 or g.valence(v) != 1:
+        raise MoveError(f"cannot cancel ({u!r}, {v!r}): the edge is not a whole component")
+    if g.weight(u) != 0 and g.weight(v) != 0:
+        raise MoveError(f"cannot cancel ({u!r}, {v!r}): neither endpoint has weight 0")
+    return _rebuilt(g, drop=(u, v))
+
+
+def oracle_absorb_zero(g, v):
+    if g.weight(v) != 0:
+        raise MoveError(f"cannot absorb {v!r}: weight {g.weight(v)} is not 0")
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 2:
+        raise MoveError(f"cannot absorb {v!r}: valence {len(nbrs)} is not 2")
+    u, w = nbrs
+    return _rebuilt(
+        g,
+        drop=(v, w),
+        reweight={u: g.weight(u) + g.weight(w)},
+        add_edges=[(u, x) for x in g.neighbors(w) if x != v],
+    )
+
+
+def oracle_split_zero(g, v):
+    if g.weight(v) != 0:
+        raise MoveError(f"cannot split at {v!r}: weight {g.weight(v)} is not 0")
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 1:
+        raise MoveError(f"cannot split at {v!r}: valence {len(nbrs)} is not 1")
+    return _rebuilt(g, drop=(v, *nbrs))
+
+
+def oracle_apply_move(g, move):
+    """The oracle of ``apply_move``: the same checks, in the same order, in
+    front of moves that each build a new graph from g's tuples."""
+    arity = {"blowdown": (1, 1), "absorb": (1, 1), "split": (1, 1), "cancel": (2, 2),
+             "blowup": (1, 3)}
+    if move.kind not in arity:
+        raise MoveError(f"unknown move kind {move.kind!r}")
+    low, high = arity[move.kind]
+    if not low <= len(move.ids) <= high:
+        raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
+    if move.kind != "blowup":
+        for v in move.ids:
+            if v not in g._weight_map:
+                raise MoveError(f"cannot apply {move}: no vertex {v!r}")
+    for v, w in move.pre or ():
+        if v not in g._weight_map or g.weight(v) != w:
+            raise MoveError(f"move {move} was recorded against a different graph "
+                            f"(vertex {v!r} weight mismatch)")
+    if move.kind == "blowup":
+        if move.weight is None:
+            raise MoveError("blow-up move carries no weight")
+        return oracle_blow_up(g, move.ids[0], move.weight, move.ids[1:])
+    if move.kind == "cancel":
+        return oracle_cancel_zero_pair(g, move.ids)
+    move_of_kind = {"blowdown": oracle_blow_down, "absorb": oracle_absorb_zero,
+                    "split": oracle_split_zero}
+    return move_of_kind[move.kind](g, *move.ids)
 
 
 @pytest.fixture(scope="session")

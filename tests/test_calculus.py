@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import path_graph, random_forest, random_relabeling
+from conftest import oracle_apply_move, path_graph, random_forest, random_relabeling
 from plumbcalc import (
     DEFAULT_BUDGET,
     BrieskornTriple,
@@ -161,12 +161,27 @@ def test_apply_move_checks_recorded_weights():
         (Move("blowup", ("z", "a"), weight=-1.0), "weight must be"),
         (Move("blowup", ("z", "a"), weight=True), "weight must be"),
         (Move("twist", ("a",)), "unknown move kind 'twist'"),
+        (Move("blowup", ("a$", "p0"), weight=-1), "bad vertex id 'a\\$'"),
     ],
 )
 def test_malformed_moves_raise_move_error(move, fragment):
     g = path_graph(-2, -1, -2)
     with pytest.raises(MoveError, match=fragment):
         apply_move(g, move)
+
+
+def test_public_moves_report_a_missing_vertex_as_a_move_error():
+    g = PlumbingGraph.build({"a": 0, "b": -1}, [("a", "b")])
+    for call, move in [
+        (lambda: blow_down(g, "zz"), "blowdown zz"),
+        (lambda: absorb_zero(g, "zz"), "absorb zz"),
+        (lambda: split_zero(g, "zz"), "split zz"),
+        (lambda: cancel_zero_pair(g, ("a", "zz")), "cancel a zz"),
+    ]:
+        with pytest.raises(MoveError, match=f"^cannot apply {move}: no vertex 'zz'$"):
+            call()
+    with pytest.raises(MoveError, match="^malformed move: blowup with 4 vertex id"):
+        blow_up(g, "z", -1, ("a", "b", "c"))
 
 
 # -- traces --------------------------------------------------------------------
@@ -440,16 +455,56 @@ def zero_and_chain_moves(g):
     return out
 
 
+def probe_moves(g):
+    """Moves of every kind at every vertex, valid or not: cancels on every
+    edge and on pairs with a missing or repeated vertex, and blow-ups with
+    fresh, taken and malformed new ids, onto vertices, edges, non-edges and
+    missing vertices."""
+    ids = list(g.ids)
+    moves = [Move(kind, (v,)) for v in [*ids, "zz"] for kind in ("blowdown", "absorb", "split")]
+    moves += [Move("cancel", e) for e in g.edges]
+    moves += [Move("cancel", (ids[0], v)) for v in (ids[0], ids[-1], "zz")]
+    attachments = [(), *((v,) for v in ids), *g.edges, (ids[0], ids[-1]), (ids[0], "zz")]
+    for new_id in ("new", ids[0], "a$"):
+        moves += [Move("blowup", (new_id, *a), weight=w) for a in attachments for w in (-1, 1)]
+    moves += [Move("blowup", ("new", ids[0]), weight=2), Move("blowup", ("new",))]
+    moves += [Move("blowdown", (ids[0],), pre=((ids[0], 99),)), Move("split", (ids[0],), pre=())]
+    return moves
+
+
+def move_outcome(apply, g, move):
+    """The graph the move gives, or the type and message of its error."""
+    try:
+        return apply(g, move)
+    except (MoveError, DomainError) as e:
+        return type(e), str(e)
+
+
+def oracle_outcome(g, move):
+    """The oracle's outcome, with the one change ``apply_move`` makes on
+    purpose: a blow-up's malformed new id is a MoveError, raised before the
+    graph is built, not the DomainError of ``PlumbingGraph.build``."""
+    outcome = move_outcome(oracle_apply_move, g, move)
+    if outcome == (DomainError, f"bad vertex id {move.ids[0]!r}"):
+        return MoveError, f"bad vertex id {move.ids[0]!r} for a blow-up"
+    return outcome
+
+
 def test_moves_preserve_det_and_forest():
     rng = random.Random(20260101)
-    kinds = Counter()
+    kinds, probes = Counter(), Counter()
     while sum(kinds.values()) < 600 or min(kinds.values()) < 60:
         g = random_forest(rng, max_vertices=9)
         det_before = abs(determinant(linking_matrix(g)))
+        for move in probe_moves(g):
+            outcome = move_outcome(apply_move, g, move)
+            assert outcome == oracle_outcome(g, move), move
+            probes[outcome[0] if type(outcome) is tuple else "graph"] += 1
         for seq in [[m] for m in applicable_moves(g)] + zero_and_chain_moves(g):
             h = g
             for move in seq:
-                h = apply_move(h, move)
+                h, expected = apply_move(h, move), oracle_apply_move(h, move)
+                assert h == expected and h._adjacency == expected._adjacency
                 # PlumbingGraph.build validated simplicity/forest; double-check
                 # the forest relation explicitly
                 assert len(h.edges) == len(h) - len(h.components())
@@ -466,6 +521,7 @@ def test_moves_preserve_det_and_forest():
                 assert all(h.weight(n) == g.weight(n) - 1 for n in g.neighbors(v))
             kinds[kind] += 1
     assert set(kinds) == {"blowdown", "cancel", "absorb", "split", "chain"}
+    assert set(probes) == {"graph", MoveError} and min(probes.values()) > 1000, probes
 
 
 # -- the greedy pass ------------------------------------------------------------------
@@ -481,6 +537,11 @@ def test_pass_reduces_whatever_the_search_reduces():
         spheres += 1
         trace = _greedy_pass(g, DEFAULT_BUDGET)
         assert trace.replay() == trace.end  # every pass trace replays
+        ours = theirs = g  # move by move, as the oracle rebuilds each diagram
+        for move in trace.moves:
+            ours, theirs = apply_move(ours, move), oracle_apply_move(theirs, move)
+            assert ours == theirs and ours._adjacency == theirs._adjacency
+        assert ours == trace.end
         end = trace.end  # no move applies: chain weights are all <= -2
         assert all(w <= -2 for v, w in end.vertices if end.valence(v) <= 2)
         verdict, _ = _search(g, 5000, 0)

@@ -13,12 +13,15 @@ from plumbcalc import (
     BrieskornTriple,
     Move,
     MoveTrace,
+    PlumbingGraph,
+    Verdict,
     apply_move,
     candidate_triple,
     canonical_form,
     format_trace,
     parse_graph,
     parse_trace,
+    reduce_to_s3,
     scan_range,
     surgery_coefficient,
 )
@@ -597,6 +600,39 @@ def test_breadth_first_d3_trace_still_replays(capsys):
     code, out, _ = run(capsys, "replay-trace", str(trace))
     assert code == 0
     assert out == "replay ok: 7 moves, end graph has 0 vertices\n"
+
+
+BLOWUP300 = Path(__file__).parent / "data" / "blowup300.trace"
+
+
+def test_blowup300_trace_pins_the_pass():
+    # 300 random blow-ups of the empty diagram (random.Random(300)), reduced
+    # by `plumbcalc reduce blowup300 --trace blowup300.trace`
+    start, moves = parse_trace(BLOWUP300.read_text())
+    verdict, trace = reduce_to_s3(start)
+    assert verdict.status is Verdict.S3
+    assert len(start) == 300 and len(moves) == 283
+    text = format_trace(trace, comments=["reduction of blowup300 to the empty diagram"])
+    assert text == BLOWUP300.read_text()
+
+
+def test_reduce_and_replay_build_few_graphs(capsys, monkeypatch):
+    # moves edit one private diagram; only the graph it ends as is built
+    start, _ = parse_trace(BLOWUP300.read_text())
+    build = PlumbingGraph.build.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PlumbingGraph, "build", classmethod(counted))
+    assert reduce_to_s3(start)[0].status is Verdict.S3
+    assert 1 <= len(calls) <= 3
+    calls.clear()
+    code, out, _ = run(capsys, "replay-trace", str(BLOWUP300))
+    assert code == 0 and out == "replay ok: 283 moves, end graph has 0 vertices\n"
+    assert 1 <= len(calls) <= 3
 
 
 def test_trace_parser_rejects_graph_lines_after_moves():
