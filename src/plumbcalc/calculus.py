@@ -24,7 +24,9 @@ replay-verified like every other.
 
 When the pass stops short, the reducer falls back to a breadth-first search
 from the start diagram over blow-downs and cancellations, with
-canonical-form memoization.  Move enumeration is ordered (blow-downs by
+canonical-form memoization.  The search's states are private diagrams
+too, each successor an edited copy of its parent, and a graph is built
+only for a trace it returns.  Move enumeration is ordered (blow-downs by
 (valence, id), then cancellations by edge ids); together with FIFO
 expansion this makes verdicts and traces deterministic for a fixed input
 and budget.  Blow-ups are excluded from the search unless a positive
@@ -144,51 +146,14 @@ def applicable_moves(g: PlumbingGraph) -> list[Move]:
     """Every applicable move, in the fixed deterministic order the reducer
     searches them: blow-downs sorted by (valence, vertex id), so leaves come
     before interior vertices, then cancellations sorted by edge."""
-    blowdowns = []
-    for v, w in g.vertices:
-        if w not in (1, -1):
-            continue
-        nbrs = g.neighbors(v)
-        if len(nbrs) > 2:
-            continue
-        pre = tuple(sorted({v: w, **{n: g.weight(n) for n in nbrs}}.items()))
-        blowdowns.append((len(nbrs), v, Move("blowdown", (v,), pre=pre)))
-    moves = [m for _, _, m in sorted(blowdowns, key=lambda t: t[:2])]
-    for u, v in g.edges:
-        if (
-            g.valence(u) == 1
-            and g.valence(v) == 1
-            and (g.weight(u) == 0 or g.weight(v) == 0)
-        ):
-            pre = ((u, g.weight(u)), (v, g.weight(v)))
-            moves.append(Move("cancel", (u, v), pre=pre))
-    return moves
-
-
-def _fresh_id(g: PlumbingGraph) -> str:
-    existing = set(g.ids)
-    k = 0
-    while f"z{k}" in existing:
-        k += 1
-    return f"z{k}"
+    return _Diagram(g).moves()
 
 
 def blow_up_moves(g: PlumbingGraph) -> list[Move]:
     """Every blow-up of the graph (isolated, one-point, edge-splitting, both
     weights), in deterministic order.  Only searched when the reducer's
     blow-up depth is positive: these moves grow the diagram."""
-    new_id = _fresh_id(g)
-    moves = []
-    for eps in (-1, 1):
-        moves.append(Move("blowup", (new_id,), weight=eps, pre=()))
-    for v, w in g.vertices:
-        for eps in (-1, 1):
-            moves.append(Move("blowup", (new_id, v), weight=eps, pre=((v, w),)))
-    for u, v in g.edges:
-        pre = ((u, g.weight(u)), (v, g.weight(v)))
-        for eps in (-1, 1):
-            moves.append(Move("blowup", (new_id, u, v), weight=eps, pre=pre))
-    return moves
+    return _Diagram(g).blow_ups()
 
 
 def apply_move(g: PlumbingGraph, move: Move) -> PlumbingGraph:
@@ -214,25 +179,53 @@ class _Diagram:
     a valence-2 blow-down joins two vertices that are in separate trees
     once the blown vertex is gone, an absorption merges two trees, and a
     two-point blow-up splits an existing edge.  So only the graph that
-    ``graph`` builds at the end needs validating."""
+    ``graph`` builds at the end needs validating.
+
+    ``copy`` gives an independent diagram to edit, so the search can keep
+    each state it queues.  ``moves`` and ``blow_ups`` list the search's
+    moves in its fixed order, each recording the weights it touches."""
 
     def __init__(self, g: PlumbingGraph):
         self.weight = dict(g._weight_map)
-        self.adj = dict(g._adjacency)  # sorted neighbor tuples, made sets when edited
+        self.adj = dict(g._adjacency)  # neighbor tuples, made sets when edited
+
+    def copy(self) -> "_Diagram":
+        twin = _Diagram.__new__(_Diagram)
+        twin.weight = dict(self.weight)
+        twin.adj = {v: tuple(ns) for v, ns in self.adj.items()}
+        return twin
 
     def graph(self) -> PlumbingGraph:
         adj = self.adj
-        g = PlumbingGraph.build(self.weight, [(u, x) for u in adj for x in adj[u] if u < x])
-        # build checked the edges read off adj, so adj, its sets sorted, is
-        # g's adjacency: g need not recompute it
-        g.__dict__["_adjacency"] = {
-            v: ns if type(ns) is tuple else tuple(sorted(ns)) for v, ns in adj.items()
-        }
-        return g
+        return PlumbingGraph.build(self.weight, [(u, x) for u in adj for x in adj[u] if u < x])
 
     def pre(self, *vs: str) -> tuple[tuple[str, int], ...]:
         """The weights of vs, as a move records them."""
         return tuple(sorted((v, self.weight[v]) for v in vs))
+
+    def moves(self) -> list[Move]:
+        """The blow-downs by (valence, id), then the cancellations by edge."""
+        weight, adj = self.weight, self.adj
+        ones = sorted((len(adj[v]), v) for v, w in weight.items() if w in (1, -1))
+        moves = [Move("blowdown", (v,), pre=self.pre(v, *adj[v])) for k, v in ones if k <= 2]
+        for u in sorted(v for v, ns in adj.items() if len(ns) == 1):
+            (x,) = adj[u]
+            if u < x and len(adj[x]) == 1 and 0 in (weight[u], weight[x]):
+                moves.append(Move("cancel", (u, x), pre=self.pre(u, x)))
+        return moves
+
+    def blow_ups(self) -> list[Move]:
+        """Every blow-up with the smallest free ``z<k>`` id: isolated, then
+        at each vertex by id, then splitting each edge, each weight -1
+        before +1."""
+        new_id = next(f"z{k}" for k in count() if f"z{k}" not in self.weight)
+        edges = sorted((u, x) for u, ns in self.adj.items() for x in ns if u < x)
+        sites = [(), *((v,) for v in sorted(self.weight)), *edges]
+        return [
+            Move("blowup", (new_id, *site), weight=eps, pre=self.pre(*site))
+            for site in sites
+            for eps in (-1, 1)
+        ]
 
     def apply(self, move: Move) -> None:
         if move.kind not in _MOVE_ARITY:
@@ -379,7 +372,11 @@ def canonical_form(g: PlumbingGraph) -> str:
     string is kept.  Every vertex is reached because every PlumbingGraph
     is a forest; on a cycle the pass would stall.
     """
-    weight, adj = g._weight_map, g._adjacency
+    return _forest_code(g._weight_map, g._adjacency)
+
+
+def _forest_code(weight: dict[str, int], adj) -> str:
+    """``canonical_form`` of the forest with these weights and adjacency."""
     left = {v: len(ns) for v, ns in adj.items()}  # neighbors not yet encoded
     children: dict[str, list[str]] = {v: [] for v in adj}
     code: dict[str, str] = {}
@@ -537,18 +534,19 @@ def _pass_rank(w: int, valence: int) -> int | None:
 def _search(
     g: PlumbingGraph, budget: int, blow_up_depth: int
 ) -> tuple[ReductionVerdict, MoveTrace | None]:
-    """Breadth-first search from g over ``applicable_moves`` (and
-    ``blow_up_moves`` up to ``blow_up_depth`` per path) for the empty
+    """Breadth-first search from g over ``_Diagram.moves`` (and
+    ``_Diagram.blow_ups`` up to ``blow_up_depth`` per path) for the empty
     diagram, admitting at most ``budget`` canonical states."""
     # BFS states are (diagram, blow-ups used); memoized per canonical form
     # and blow-up count so deeper-blow-up revisits of a diagram are pruned.
-    start_key = (canonical_form(g), 0)
+    start = _Diagram(g)
+    start_key = (_forest_code(start.weight, start.adj), 0)
     parents: dict[tuple[str, int], tuple[tuple[str, int], Move] | None] = {start_key: None}
-    queue: deque[tuple[PlumbingGraph, tuple[str, int]]] = deque([(g, start_key)])
+    queue: deque[tuple[_Diagram, tuple[str, int]]] = deque([(start, start_key)])
     budget_hit = False
     while queue:
         current, key = queue.popleft()
-        if current.is_empty:
+        if not current.weight:
             moves = []
             walk = key
             while parents[walk] is not None:
@@ -556,17 +554,17 @@ def _search(
                 moves.append(move)
                 walk = pkey
             moves.reverse()
-            trace = MoveTrace(start=g, moves=tuple(moves), end=current)
-            replayed = trace.replay()
-            assert replayed.is_empty
+            trace = MoveTrace(start=g, moves=tuple(moves), end=current.graph())
+            trace.replay()
             return ReductionVerdict(Verdict.S3), trace
         ups = key[1]
-        candidates = applicable_moves(current)
+        candidates = current.moves()
         if ups < blow_up_depth:
-            candidates += blow_up_moves(current)
+            candidates += current.blow_ups()
         for move in candidates:
-            successor = apply_move(current, move)
-            skey = (canonical_form(successor), ups + (move.kind == "blowup"))
+            successor = current.copy()
+            successor.apply(move)
+            skey = (_forest_code(successor.weight, successor.adj), ups + (move.kind == "blowup"))
             if skey in parents:
                 continue
             if len(parents) >= budget:

@@ -75,10 +75,10 @@ def _load_graph(arg: str) -> PlumbingGraph:
     path = Path(arg)
     if path.is_file():
         return parse_graph(_read_text(path), source=str(path))
-    name = arg[:-6] if arg.endswith(".graph") else arg
-    if name in FIXTURE_NAMES:
-        return fixture_graph(name)
-    raise GraphFormatError(f"{arg}: no such file or fixture")
+    try:
+        return fixture_graph(arg)
+    except DomainError:
+        raise GraphFormatError(f"{arg}: no such file or fixture") from None
 
 
 def _triple(args) -> BrieskornTriple:

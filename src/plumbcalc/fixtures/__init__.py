@@ -25,5 +25,4 @@ def fixture_text(name: str) -> str:
 
 
 def fixture_graph(name: str) -> PlumbingGraph:
-    name = _normalize(name)
-    return parse_graph(fixture_text(name), source=f"{name}.graph")
+    return parse_graph(fixture_text(name), source=f"{_normalize(name)}.graph")

@@ -131,7 +131,9 @@ def parse_trace(text: str, source: str = "<trace>") -> tuple[PlumbingGraph, list
 
 
 def format_graph(g: PlumbingGraph, comments=()) -> str:
-    lines = [f"# {c}" if c else "#" for c in comments]
+    """The graph file of g, after one ``#`` line per line of each comment:
+    a line break inside a comment must not start a graph line."""
+    lines = [f"# {line}" if line else "#" for c in comments for line in c.splitlines() or [""]]
     lines += [f"vertex {v} {w}" for v, w in g.vertices]
     lines += [f"edge {u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n" if lines else ""

@@ -5,10 +5,20 @@ reproducible; no test depends on wall-clock or iteration order of sets.
 """
 
 import random
+from collections import deque
 
 import pytest
 
-from plumbcalc import MoveError, PlumbingGraph
+from plumbcalc import (
+    Move,
+    MoveError,
+    MoveTrace,
+    PlumbingGraph,
+    ReductionVerdict,
+    Verdict,
+    apply_move,
+    canonical_form,
+)
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
 
 # Weight pool biased toward the values the calculus cares about (+-1, 0, -2).
@@ -206,6 +216,96 @@ def oracle_apply_move(g, move):
     move_of_kind = {"blowdown": oracle_blow_down, "absorb": oracle_absorb_zero,
                     "split": oracle_split_zero}
     return move_of_kind[move.kind](g, *move.ids)
+
+
+# -- the search oracle: every state is a validated graph --------------------------
+
+
+def oracle_applicable_moves(g):
+    """The oracle of ``applicable_moves``: blow-downs by (valence, id), then
+    cancellations by edge, read off the graph's accessors."""
+    blowdowns = []
+    for v, w in g.vertices:
+        if w not in (1, -1):
+            continue
+        nbrs = g.neighbors(v)
+        if len(nbrs) > 2:
+            continue
+        pre = tuple(sorted({v: w, **{n: g.weight(n) for n in nbrs}}.items()))
+        blowdowns.append((len(nbrs), v, Move("blowdown", (v,), pre=pre)))
+    moves = [m for _, _, m in sorted(blowdowns, key=lambda t: t[:2])]
+    for u, v in g.edges:
+        if (
+            g.valence(u) == 1
+            and g.valence(v) == 1
+            and (g.weight(u) == 0 or g.weight(v) == 0)
+        ):
+            pre = ((u, g.weight(u)), (v, g.weight(v)))
+            moves.append(Move("cancel", (u, v), pre=pre))
+    return moves
+
+
+def _fresh_id(g):
+    existing = set(g.ids)
+    k = 0
+    while f"z{k}" in existing:
+        k += 1
+    return f"z{k}"
+
+
+def oracle_blow_up_moves(g):
+    """The oracle of ``blow_up_moves``: isolated, one-point and
+    edge-splitting blow-ups with the smallest free z<k> id, -1 before +1."""
+    new_id = _fresh_id(g)
+    moves = []
+    for eps in (-1, 1):
+        moves.append(Move("blowup", (new_id,), weight=eps, pre=()))
+    for v, w in g.vertices:
+        for eps in (-1, 1):
+            moves.append(Move("blowup", (new_id, v), weight=eps, pre=((v, w),)))
+    for u, v in g.edges:
+        pre = ((u, g.weight(u)), (v, g.weight(v)))
+        for eps in (-1, 1):
+            moves.append(Move("blowup", (new_id, u, v), weight=eps, pre=pre))
+    return moves
+
+
+def oracle_search(g, budget, blow_up_depth):
+    """The oracle of ``calculus._search``: the same breadth-first search,
+    with every successor a graph built by ``apply_move`` and keyed by
+    ``canonical_form``."""
+    start_key = (canonical_form(g), 0)
+    parents = {start_key: None}
+    queue = deque([(g, start_key)])
+    budget_hit = False
+    while queue:
+        current, key = queue.popleft()
+        if current.is_empty:
+            moves = []
+            walk = key
+            while parents[walk] is not None:
+                pkey, move = parents[walk]
+                moves.append(move)
+                walk = pkey
+            moves.reverse()
+            trace = MoveTrace(start=g, moves=tuple(moves), end=current)
+            assert trace.replay().is_empty
+            return ReductionVerdict(Verdict.S3), trace
+        ups = key[1]
+        candidates = oracle_applicable_moves(current)
+        if ups < blow_up_depth:
+            candidates += oracle_blow_up_moves(current)
+        for move in candidates:
+            successor = apply_move(current, move)
+            skey = (canonical_form(successor), ups + (move.kind == "blowup"))
+            if skey in parents:
+                continue
+            if len(parents) >= budget:
+                budget_hit = True
+                continue
+            parents[skey] = (key, move)
+            queue.append((successor, skey))
+    return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=budget_hit), None
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,15 @@ from itertools import permutations
 
 import pytest
 
-from conftest import oracle_apply_move, path_graph, random_forest, random_relabeling
+from conftest import (
+    oracle_applicable_moves,
+    oracle_apply_move,
+    oracle_blow_up_moves,
+    oracle_search,
+    path_graph,
+    random_forest,
+    random_relabeling,
+)
 from plumbcalc import (
     DEFAULT_BUDGET,
     BrieskornTriple,
@@ -29,7 +37,7 @@ from plumbcalc import (
     split_zero,
     star_plumbing,
 )
-from plumbcalc.calculus import _greedy_pass, _search
+from plumbcalc.calculus import _greedy_pass, _search, blow_up_moves
 
 
 # -- individual moves ----------------------------------------------------------
@@ -700,3 +708,30 @@ def test_blow_up_search_on_e8(fixtures):
     verdict, _ = reduce_to_s3(fixtures["e8"], budget=10, blow_up_depth=1)
     assert verdict.status is Verdict.UNKNOWN
     assert verdict.budget_exhausted is True
+
+
+def recorded(moves):
+    return [(str(m), m.pre) for m in moves]
+
+
+def search_outcome(result):
+    verdict, trace = result
+    return str(verdict), verdict.budget_exhausted, trace and recorded(trace.moves)
+
+
+def test_search_matches_the_graph_state_oracle(fixtures):
+    stars = [star_plumbing(brieskorn_seifert(BrieskornTriple(*t)))
+             for t in ((2, 3, 7), (2, 5, 7), (3, 4, 5))]
+    for g in [*fixtures.values(), lens_chain_2020(), *stars]:
+        for depth in (0, 1, 2):
+            for budget in (10, 300):
+                ours = search_outcome(_search(g, budget, depth))
+                assert ours == search_outcome(oracle_search(g, budget, depth)), (g, depth, budget)
+    rng = random.Random(4096)
+    for _ in range(30):
+        g = random_forest(rng, max_vertices=8)
+        assert recorded(applicable_moves(g)) == recorded(oracle_applicable_moves(g))
+        assert recorded(blow_up_moves(g)) == recorded(oracle_blow_up_moves(g))
+        for depth in (0, 1):
+            ours = search_outcome(_search(g, 300, depth))
+            assert ours == search_outcome(oracle_search(g, 300, depth)), (g, depth)

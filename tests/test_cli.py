@@ -26,7 +26,7 @@ from plumbcalc import (
     surgery_coefficient,
 )
 from plumbcalc.cli import _surgery_witness, main
-from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
+from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
 from plumbcalc.errors import GraphFormatError
 
 
@@ -175,6 +175,19 @@ def test_reduce_d3_with_trace(capsys, tmp_path):
     code, out, _ = run(capsys, "replay-trace", str(trace_file))
     assert code == 0
     assert out.startswith("replay ok: 7 moves, end graph has 0 vertices")
+
+
+def test_reduce_trace_comment_cannot_inject_graph_lines(capsys, tmp_path):
+    # the graph's path goes into a trace comment; a line break in it must
+    # stay inside the comment
+    f = tmp_path / "g\nvertex q0 -1 #"
+    f.write_text(fixture_text("d3"))
+    trace_file = tmp_path / "t.trace"
+    code, out, _ = run(capsys, "reduce", str(f), "--trace", str(trace_file))
+    assert code == 0 and out == "S3\n"
+    assert parse_trace(trace_file.read_text())[0] == fixture_graph("d3")
+    code, out, _ = run(capsys, "replay-trace", str(trace_file))
+    assert code == 0 and out == "replay ok: 7 moves, end graph has 0 vertices\n"
 
 
 def test_reduce_e8_unknown(capsys):
@@ -484,6 +497,8 @@ def test_graph_argument_accepts_path_and_fixture_name(capsys, tmp_path):
     code, out_a, _ = run(capsys, "export-dot", "d4")
     code, out_b, _ = run(capsys, "export-dot", "d4.graph")
     assert out_a == out_b
+    code, _, err = run(capsys, "export-dot", "d4.graph.graph")  # one suffix only
+    assert code == 2 and "no such file or fixture" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -619,6 +634,7 @@ def test_blowup300_trace_pins_the_pass():
 def test_reduce_and_replay_build_few_graphs(capsys, monkeypatch):
     # moves edit one private diagram; only the graph it ends as is built
     start, _ = parse_trace(BLOWUP300.read_text())
+    e8 = fixture_graph("e8")
     build = PlumbingGraph.build.__func__
     calls = []
 
@@ -628,6 +644,11 @@ def test_reduce_and_replay_build_few_graphs(capsys, monkeypatch):
 
     monkeypatch.setattr(PlumbingGraph, "build", classmethod(counted))
     assert reduce_to_s3(start)[0].status is Verdict.S3
+    assert 1 <= len(calls) <= 3
+    calls.clear()
+    # and the search that follows a pass that stops short builds no graph per state
+    verdict, _ = reduce_to_s3(e8, budget=20000, blow_up_depth=2)
+    assert verdict.status is Verdict.UNKNOWN and verdict.budget_exhausted is False
     assert 1 <= len(calls) <= 3
     calls.clear()
     code, out, _ = run(capsys, "replay-trace", str(BLOWUP300))
