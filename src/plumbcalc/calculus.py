@@ -64,7 +64,9 @@ __all__ = [
     "canonical_form",
 ]
 
-DEFAULT_BUDGET = 100_000  # canonical states admitted to the memo table
+# Caps the diagrams the greedy pass visits and, separately, the states the
+# breadth-first search admits.
+DEFAULT_BUDGET = 100_000
 
 # Move kind -> (fewest, most) vertex ids; ``blowup`` also takes a weight.
 _MOVE_ARITY = {

@@ -8,7 +8,7 @@ Exit codes are fixed so shell scripts need no output parsing:
   1  negative verdict (reduce did not reach S3, replay failed, check failed)
   2  usage or domain error (bad flags, unparsable file, invalid triple,
      unwritable output file)
-  3  cross-check failure (the two mu methods disagree)
+  3  cross-check failure (the two mu routes disagree)
 
 Every command is deterministic: identical invocations produce byte-identical
 stdout and output files.  Graph-file arguments accept either a path or the
@@ -111,9 +111,7 @@ def cmd_seifert(args) -> int:
 def cmd_plumb(args) -> int:
     t = _triple(args)
     g = star_plumbing(brieskorn_seifert(t))
-    text = format_graph(
-        g, comments=[f"star plumbing with boundary Sigma{t.indices}"]
-    )
+    text = format_graph(g, comments=[f"star plumbing with boundary Sigma{t.indices}"])
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -143,15 +141,19 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _mu_routes(t: BrieskornTriple):
+    """(lattice, plumbing): the Rohlin invariant of Sigma(t) from the
+    Milnor-fiber signature (None when an index is even: the fiber is not
+    spin) and from the star plumbing's mu-bar.  Both present and unequal
+    is a cross-check failure, EXIT_DISAGREE."""
+    lattice = rohlin_from_signature(t) if all_odd(t) else None
+    return lattice, rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
+
+
 def cmd_mu(args) -> int:
-    t = _triple(args)
-    values = []
-    if args.method in ("lattice", "both"):
-        values.append(rohlin_from_signature(t))
-    if args.method in ("plumbing", "both"):
-        values.append(rohlin_mu_bar(star_plumbing(brieskorn_seifert(t))))
-    print(" ".join(str(v) for v in values))
-    if len(values) == 2 and values[0] != values[1]:
+    lattice, plumbing = _mu_routes(_triple(args))
+    print(f"{'-' if lattice is None else lattice} {plumbing}")
+    if lattice not in (None, plumbing):
         print("mu methods disagree", file=sys.stderr)
         return EXIT_DISAGREE
     return EXIT_OK
@@ -199,13 +201,9 @@ def _scan_summary_lines(records):
 
 
 def cmd_scan(args) -> int:
-    params = ScanParams(
-        p_bound=args.p_bound,
-        q_bound=args.q_bound,
-        r_range=tuple(args.r_range),
-        s_range=tuple(args.s_range),
+    records = scan_range(
+        ScanParams(args.p_bound, args.q_bound, tuple(args.r_range), tuple(args.s_range))
     )
-    records = scan_range(params)
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in _record_lines(records)))
     lines = _record_lines(records) if args.format == "records" else _scan_summary_lines(records)
@@ -279,22 +277,16 @@ def cmd_check(args) -> int:
     else:
         print("criterion surgery-coefficient-pm1: FAIL (no witness found)")
 
-    plumb = rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
-    if all_odd(t):
-        latt = rohlin_from_signature(t)
-        agree = latt == plumb
-        status = "PASS" if (agree and plumb == 1) else "FAIL"
-        print(f"criterion rohlin-invariant-1: {status} (lattice {latt}, plumbing {plumb})")
-        if not agree:
-            return EXIT_DISAGREE
-        ok += status == "PASS"
-    else:
-        status = "PASS" if plumb == 1 else "FAIL"
-        print(
-            f"criterion rohlin-invariant-1: {status} "
-            f"(plumbing {plumb}, lattice n/a: even index)"
-        )
-        ok += status == "PASS"
+    lattice, plumbing = _mu_routes(t)
+    status = "PASS" if plumbing == 1 and lattice in (None, 1) else "FAIL"
+    routes = (
+        f"plumbing {plumbing}, lattice n/a: even index" if lattice is None
+        else f"lattice {lattice}, plumbing {plumbing}"
+    )
+    print(f"criterion rohlin-invariant-1: {status} ({routes})")
+    if lattice not in (None, plumbing):
+        return EXIT_DISAGREE
+    ok += status == "PASS"
 
     if all_odd(t):
         print("criterion free-involution: PASS (all indices odd)")
@@ -357,14 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file path or fixture name")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("mu", help="Rohlin invariant of a Brieskorn sphere")
+    p = sub.add_parser("mu", help="Rohlin invariant: signature ('-': even index), mu-bar")
     add_triple(p)
-    p.add_argument(
-        "--method",
-        choices=("lattice", "plumbing", "both"),
-        default="both",
-        help="Milnor-fiber signature (Dedekind sums), plumbing mu-bar, or both (default)",
-    )
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("reduce", help="certify a diagram as S3 by plumbing moves")
@@ -412,19 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Integers are exact at any size: lift Python's int/str digit limit
+    # (3.10.7+), a guard against quadratic parsing, while a command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except MoveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except (PlumbcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def console_main() -> None:

@@ -43,11 +43,11 @@ class PlumbingGraph:
 
     @classmethod
     def build(cls, weights, edges=()) -> "PlumbingGraph":
-        """Create a graph from a {id: weight} mapping (or (id, weight)
-        pairs) and an iterable of edge pairs.  Raises DomainError unless the
-        result is a simple forest with well-formed ids."""
+        """Create a graph from a {id: weight} mapping and an iterable of
+        edge pairs.  Raises DomainError unless the result is a simple forest
+        with well-formed ids."""
         forest = _ForestBuilder()
-        for v, w in weights.items() if hasattr(weights, "items") else weights:
+        for v, w in weights.items():
             forest.add_vertex(v, w)
         for u, v in edges:
             forest.add_edge(u, v)

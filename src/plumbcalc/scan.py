@@ -70,9 +70,15 @@ class ScanParams:
     s_range: tuple[int, int]
 
     def __post_init__(self):
+        for name, bound in (("p", self.p_bound), ("q", self.q_bound)):
+            if type(bound) is not int:  # a float or bool bound would scan silently
+                raise DomainError(f"{name} bound {bound!r} is not an integer")
         if self.p_bound < 1 or self.q_bound < 1:
             raise DomainError("p and q bounds must be positive")
-        for name, (lo, hi) in (("r", self.r_range), ("s", self.s_range)):
+        for name, pair in (("r", self.r_range), ("s", self.s_range)):
+            if type(pair) is not tuple or len(pair) != 2 or any(type(x) is not int for x in pair):
+                raise DomainError(f"{name} range {pair!r} is not a (lo, hi) pair of integers")
+            lo, hi = pair
             if lo > hi or (lo == 0 and hi == 0):
                 raise DomainError(f"{name} range [{lo}, {hi}] is empty (0 is excluded)")
 

@@ -2,7 +2,9 @@
 change that makes it edits this file on purpose and says so."""
 
 import argparse
+import enum
 import importlib
+import inspect
 
 import plumbcalc
 from plumbcalc.cli import build_parser
@@ -48,6 +50,83 @@ MODULE_ALL = {
     ],
 }
 
+# Public callable -> str(inspect.signature(...)): the functions and the
+# dataclasses.  The exception classes and the Verdict enum are left out:
+# their constructors are Python's, not this package's.
+SIGNATURES = {
+    "BrieskornTriple": "(a1: 'int', a2: 'int', a3: 'int') -> None",
+    "LinkingMatrix": (
+        "(index: 'tuple[str, ...]', entries: 'tuple[tuple[int, ...], ...]') -> None"
+    ),
+    "Move": (
+        "(kind: 'str', ids: 'tuple[str, ...]', weight: 'int | None' = None, "
+        "pre: 'tuple[tuple[str, int], ...] | None' = None) -> None"
+    ),
+    "MoveTrace": (
+        "(start: 'PlumbingGraph', moves: 'tuple[Move, ...]', end: 'PlumbingGraph') -> None"
+    ),
+    "PlumbingGraph": (
+        "(vertices: 'tuple[tuple[str, int], ...]', "
+        "edges: 'tuple[tuple[str, str], ...]') -> None"
+    ),
+    "ReductionVerdict": (
+        "(status: 'Verdict', det_abs: 'int | None' = None, "
+        "budget_exhausted: 'bool | None' = None) -> None"
+    ),
+    "ScanParams": (
+        "(p_bound: 'int', q_bound: 'int', r_range: 'tuple[int, int]', "
+        "s_range: 'tuple[int, int]') -> None"
+    ),
+    "ScanRecord": (
+        "(p: 'int', q: 'int', r: 'int', s: 'int', triple: 'BrieskornTriple | None', "
+        "all_odd: 'bool | None', mu: 'int | None') -> None"
+    ),
+    "SeifertData": "(b: 'int', arms: 'tuple[tuple[int, int], ...]') -> None",
+    "absorb_zero": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
+    "all_odd": "(t: 'BrieskornTriple') -> 'bool'",
+    "all_odd_mu1_triples": "(records) -> 'list[BrieskornTriple]'",
+    "applicable_moves": "(g: 'PlumbingGraph') -> 'list[Move]'",
+    "apply_move": "(g: 'PlumbingGraph', move: 'Move') -> 'PlumbingGraph'",
+    "bezout": "(a: 'int', b: 'int') -> 'tuple[int, int, int]'",
+    "blow_down": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
+    "blow_up": (
+        "(g: 'PlumbingGraph', new_id: 'str', weight: 'int', "
+        "attach: 'tuple[str, ...]' = ()) -> 'PlumbingGraph'"
+    ),
+    "blow_up_moves": "(g: 'PlumbingGraph') -> 'list[Move]'",
+    "brieskorn_seifert": "(t: 'BrieskornTriple') -> 'SeifertData'",
+    "brieskorn_signature_fast": "(t: 'BrieskornTriple') -> 'int'",
+    "cancel_zero_pair": "(g: 'PlumbingGraph', edge: 'tuple[str, str]') -> 'PlumbingGraph'",
+    "candidate_triple": "(p: 'int', q: 'int', r: 'int', s: 'int') -> 'BrieskornTriple'",
+    "canonical_form": "(g: 'PlumbingGraph') -> 'str'",
+    "determinant": "(m) -> 'int'",
+    "eval_neg_cont_frac": "(terms) -> 'Fraction'",
+    "fixture_graph": "(name: str) -> plumbcalc.graphs.PlumbingGraph",
+    "fixture_text": "(name: str) -> str",
+    "format_graph": "(g: 'PlumbingGraph', comments=()) -> 'str'",
+    "format_trace": "(trace: 'MoveTrace', comments=()) -> 'str'",
+    "linking_matrix": "(g: 'PlumbingGraph') -> 'LinkingMatrix'",
+    "mu_bar": "(g: 'PlumbingGraph') -> 'int'",
+    "neg_cont_frac": "(x: 'Fraction | int') -> 'tuple[int, ...]'",
+    "parse_graph": "(text: 'str', source: 'str' = '<graph>') -> 'PlumbingGraph'",
+    "parse_trace": (
+        "(text: 'str', source: 'str' = '<trace>') -> 'tuple[PlumbingGraph, list[Move]]'"
+    ),
+    "reduce_to_s3": (
+        "(g: 'PlumbingGraph', budget: 'int' = 100000, "
+        "blow_up_depth: 'int' = 0) -> 'tuple[ReductionVerdict, MoveTrace | None]'"
+    ),
+    "rohlin_from_signature": "(t: 'BrieskornTriple') -> 'int'",
+    "rohlin_mu_bar": "(g: 'PlumbingGraph') -> 'int'",
+    "scan_range": "(params: 'ScanParams') -> 'list[ScanRecord]'",
+    "signature": "(m) -> 'int'",
+    "split_zero": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
+    "star_plumbing": "(s: 'SeifertData') -> 'PlumbingGraph'",
+    "surgery_coefficient": "(p: 'int', q: 'int', r: 'int', s: 'int') -> 'int'",
+    "to_dot": "(g: 'PlumbingGraph') -> 'str'",
+    "wu_class": "(g: 'PlumbingGraph') -> 'frozenset[str]'",
+}
+
 # Subcommand -> its arguments in order: option strings, or a positional's name.
 CLI = {
     "check": ["-h --help", "a1", "a2", "a3"],
@@ -55,7 +134,7 @@ CLI = {
     "export-dot": ["-h --help", "graph"],
     "fixtures": ["-h --help", "--copy-to"],
     "invariants": ["-h --help", "graph"],
-    "mu": ["-h --help", "a1", "a2", "a3", "--method"],
+    "mu": ["-h --help", "a1", "a2", "a3"],
     "plumb": ["-h --help", "a1", "a2", "a3", "--out"],
     "reduce": ["-h --help", "graph", "--budget", "--blow-up-depth", "--trace"],
     "replay-trace": ["-h --help", "trace"],
@@ -72,6 +151,19 @@ def test_module_all_is_pinned():
         module = importlib.import_module(name)
         assert sorted(module.__all__) == expected, name
         assert all(hasattr(module, attr) for attr in expected), name
+
+
+def test_public_signatures_are_pinned():
+    signatures = {}
+    for name, expected in MODULE_ALL.items():
+        module = importlib.import_module(name)
+        for attr in expected:
+            obj = getattr(module, attr)
+            if isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)):
+                continue
+            if callable(obj):
+                signatures[attr] = str(inspect.signature(obj))
+    assert signatures == SIGNATURES
 
 
 def test_cli_subcommands_and_options_are_pinned():

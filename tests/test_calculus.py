@@ -430,6 +430,8 @@ def test_reduce_budget_exhaustion(fixtures):
     assert len(_greedy_pass(fixtures["d3"], 7).moves) == 6
     with pytest.raises(DomainError):
         reduce_to_s3(fixtures["d3"], budget=0)
+    with pytest.raises(DomainError, match="blow-up depth"):
+        reduce_to_s3(fixtures["d3"], blow_up_depth=-1)
 
 
 def test_reduce_is_deterministic(fixtures):

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from plumbcalc import (
 )
 from plumbcalc.cli import _surgery_witness, main
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
+from plumbcalc.lattice import _graph_walk
 from plumbcalc.errors import GraphFormatError
 
 
@@ -119,6 +121,31 @@ def test_invariants_long_path(capsys, tmp_path):
     )
 
 
+def test_invariants_and_reduce_print_big_integers(capsys, tmp_path):
+    # |det| of this path has ~5000 digits, past Python's default int/str
+    # digit limit; the CLI lifts it while it runs and restores it after
+    f = tmp_path / "fat.graph"
+    f.write_text(
+        "".join(f"vertex p{i:04d} -100\n" for i in range(2500))
+        + "".join(f"edge p{i:04d} p{i + 1:04d}\n" for i in range(2499))
+    )
+    det = _graph_walk(parse_graph(f.read_text()))[1]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 0 and err == ""
+    # Decimal reads the line with no digit limit
+    assert Decimal(out.splitlines()[3].removeprefix("det ")) == det
+    code, out, err = run(capsys, "reduce", str(f))
+    assert code == 1 and err == ""
+    assert Decimal(out.removeprefix("NOT-HS(").removesuffix(")\n")) == abs(det)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    # and a weight too long for int() under the limit
+    f.write_text(f"vertex a -{'9' * 5000}\n")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 0 and err == ""
+    assert out.splitlines()[3] == f"det -{'9' * 5000}"
+
+
 def test_invariants_omits_mu_bar_not_divisible_by_8(capsys, tmp_path):
     # boundary L(3, 1): odd det, so a Wu class, but mu-bar -2 is no multiple
     # of 8 and has no Rohlin meaning
@@ -133,22 +160,35 @@ def test_invariants_omits_mu_bar_not_divisible_by_8(capsys, tmp_path):
 
 
 def test_mu_both_methods(capsys):
-    code, out, _ = run(capsys, "mu", "5", "9", "13", "--method", "both")
+    # all indices odd: "<lattice> <plumbing>"
+    code, out, _ = run(capsys, "mu", "5", "9", "13")
     assert code == 0 and out == "1 1\n"
-    code, out, _ = run(capsys, "mu", "3", "13", "23", "--method", "both")
+    code, out, _ = run(capsys, "mu", "3", "13", "23")
     assert code == 0 and out == "1 1\n"
+    code, out, _ = run(capsys, "mu", "3", "5", "7")
+    assert code == 0 and out == "0 0\n"
 
 
 def test_mu_single_methods(capsys):
-    code, out, _ = run(capsys, "mu", "2", "3", "5", "--method", "plumbing")
-    assert code == 0 and out == "1\n"
-    code, out, _ = run(capsys, "mu", "5", "9", "13", "--method", "lattice")
-    assert code == 0 and out == "1\n"
+    # an even index leaves only the plumbing route; the lattice value is "-"
+    code, out, err = run(capsys, "mu", "2", "3", "5")
+    assert (code, out, err) == (0, "- 1\n", "")
+    code, out, err = run(capsys, "mu", "2", "5", "7")
+    assert (code, out, err) == (0, "- 0\n", "")
 
 
-def test_mu_lattice_needs_all_odd(capsys):
-    code, _, err = run(capsys, "mu", "2", "3", "5", "--method", "lattice")
-    assert code == 2 and "odd" in err
+def test_mu_lattice_needs_all_odd(capsys, monkeypatch):
+    # the signature route is not even tried on an even index
+    import plumbcalc.cli as cli
+
+    def refuse(t):
+        raise AssertionError(f"lattice route called on {t.indices}")
+
+    monkeypatch.setattr(cli, "rohlin_from_signature", refuse)
+    code, out, _ = run(capsys, "mu", "2", "3", "5")
+    assert code == 0 and out == "- 1\n"
+    code, out, _ = run(capsys, "check", "2", "3", "5")
+    assert "criterion rohlin-invariant-1: PASS (plumbing 1, lattice n/a: even index)" in out
 
 
 def test_mu_invalid_triple(capsys):
@@ -554,10 +594,13 @@ def test_mu_disagreement_exits_3(capsys, monkeypatch):
     import plumbcalc.cli as cli
 
     monkeypatch.setattr(cli, "rohlin_from_signature", lambda t: 0)
-    code, out, err = run(capsys, "mu", "5", "9", "13", "--method", "both")
+    code, out, err = run(capsys, "mu", "5", "9", "13")
     assert code == 3
     assert out == "0 1\n"
     assert "disagree" in err
+    code, out, _ = run(capsys, "check", "3", "13", "23")
+    assert code == 3
+    assert out.endswith("criterion rohlin-invariant-1: FAIL (lattice 0, plumbing 1)\n")
 
 
 def test_check_triple_without_witness_or_fixture(capsys):
@@ -580,6 +623,8 @@ def test_check_triple_without_witness_or_fixture(capsys):
         ("split b c", "split line needs exactly 1"),
         ("absorb b$", "bad vertex id 'b$'"),
         ("split b!", "bad vertex id 'b!'"),
+        ("blowup -1", "blowup line needs: blowup <weight> <id> [<id> [<id>]]"),
+        ("blowup x z0 a", "blow-up weight 'x' is not an integer"),
     ],
 )
 def test_trace_parse_move_diagnostics(move_line, fragment):

@@ -7,8 +7,8 @@ from plumbcalc import DomainError, PlumbingGraph
     "weights,edges,fragment",
     [
         ({"a$": -2}, [], "bad vertex id"),
-        ([(7, -2)], [], "bad vertex id"),
-        ([("a", -2), ("a", -3)], [], "duplicate vertex id"),
+        ({7: -2}, [], "bad vertex id"),
+        ({"a": -2}, [("a", 7)], "bad vertex id 7"),
         ({"a": -2}, [("a", "z")], "unknown vertex 'z'"),
         ({"a": -2}, [("a", "a")], "loop edge"),
         ({"a": -2, "b": 1}, [("a", "b"), ("b", "a")], "parallel edge"),
@@ -29,3 +29,6 @@ def test_has_edge():
     assert g.has_edge("a", "b") and g.has_edge("b", "a")
     assert not g.has_edge("a", "c")
     assert not g.has_edge("a", "z") and not g.has_edge("z", "a")
+    for accessor in (g.weight, g.neighbors):
+        with pytest.raises(DomainError, match="no vertex 'z'"):
+            accessor("z")

@@ -131,6 +131,15 @@ def test_scan_params_validation():
         ScanParams(p_bound=5, q_bound=5, r_range=(1, 2), s_range=(0, 0))
     # a range like (-1, 1) is fine: it means {-1, 1}
     ScanParams(p_bound=5, q_bound=5, r_range=(-1, 1), s_range=(1, 1))
+    # bounds and range ends are ints, and ranges are (lo, hi) pairs
+    for bad in [
+        dict(p_bound=10.0), dict(q_bound="10"), dict(p_bound=True),
+        dict(r_range=(-2.5, 2)), dict(s_range=(-2, "2")), dict(r_range=(False, 1)),
+        dict(r_range=(1,)), dict(s_range=(1, 2, 3)), dict(r_range=[1, 2]), dict(s_range=None),
+    ]:
+        fields = dict(p_bound=10, q_bound=10, r_range=(-2, 2), s_range=(-2, 2)) | bad
+        with pytest.raises(DomainError, match="not an integer|not a .lo, hi. pair"):
+            ScanParams(**fields)
 
 
 def test_scan_matches_naive_quadruple_loop():
