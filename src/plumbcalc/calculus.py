@@ -446,6 +446,9 @@ def reduce_to_s3(
     blow-ups make Unknown-by-budget the common negative outcome instead of
     Unknown-by-exhaustion.
     """
+    for name, value in (("budget", budget), ("blow-up depth", blow_up_depth)):
+        if type(value) is not int:  # a float or bool would run silently
+            raise DomainError(f"{name} {value!r} is not an integer")
     if budget < 1:
         raise DomainError("budget must be positive")
     if blow_up_depth < 0:

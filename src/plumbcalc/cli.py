@@ -7,11 +7,12 @@ Exit codes are fixed so shell scripts need no output parsing:
   0  success / positive verdict
   1  negative verdict (reduce did not reach S3, replay failed, check failed)
   2  usage or domain error (bad flags, unparsable file, invalid triple,
-     unwritable output file)
+     unwritable trace file)
   3  cross-check failure (the two mu routes disagree)
 
+Reports go to stdout; the one file written is the ``reduce --trace`` file.
 Every command is deterministic: identical invocations produce byte-identical
-stdout and output files.  Graph-file arguments accept either a path or the
+stdout and trace files.  Graph-file arguments accept either a path or the
 name of a shipped fixture (d2, d3, d4, e8, sigma-3-13-23).
 """
 
@@ -111,11 +112,7 @@ def cmd_seifert(args) -> int:
 def cmd_plumb(args) -> int:
     t = _triple(args)
     g = star_plumbing(brieskorn_seifert(t))
-    text = format_graph(g, comments=[f"star plumbing with boundary Sigma{t.indices}"])
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(format_graph(g, comments=[f"star plumbing with boundary Sigma{t.indices}"]))
     return EXIT_OK
 
 
@@ -145,27 +142,28 @@ def _mu_routes(t: BrieskornTriple):
     """(lattice, plumbing): the Rohlin invariant of Sigma(t) from the
     Milnor-fiber signature (None when an index is even: the fiber is not
     spin) and from the star plumbing's mu-bar.  Both present and unequal
-    is a cross-check failure, EXIT_DISAGREE."""
+    is a cross-check failure, EXIT_DISAGREE; this prints its error line."""
     lattice = rohlin_from_signature(t) if all_odd(t) else None
-    return lattice, rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
+    plumbing = rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
+    if lattice not in (None, plumbing):
+        print("mu methods disagree", file=sys.stderr)
+    return lattice, plumbing
 
 
 def cmd_mu(args) -> int:
     lattice, plumbing = _mu_routes(_triple(args))
     print(f"{'-' if lattice is None else lattice} {plumbing}")
-    if lattice not in (None, plumbing):
-        print("mu methods disagree", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    return EXIT_OK if lattice in (None, plumbing) else EXIT_DISAGREE
 
 
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
-    verdict, trace = reduce_to_s3(g, budget=args.budget, blow_up_depth=args.blow_up_depth)
+    verdict, trace = reduce_to_s3(g, budget=args.budget)
     if verdict.status is Verdict.S3 and args.trace:
-        Path(args.trace).write_text(
-            format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])
-        )
+        # UTF-8, as _read_text reads it; a path byte the locale could not
+        # decode is escaped in the comment instead of failing the write
+        text = format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])
+        Path(args.trace).write_text(text, encoding="utf-8", errors="backslashreplace")
     print(str(verdict))
     return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE
 
@@ -204,8 +202,6 @@ def cmd_scan(args) -> int:
     records = scan_range(
         ScanParams(args.p_bound, args.q_bound, tuple(args.r_range), tuple(args.s_range))
     )
-    if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in _record_lines(records)))
     lines = _record_lines(records) if args.format == "records" else _scan_summary_lines(records)
     for line in lines:
         print(line)
@@ -303,13 +299,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.copy_to:
-        target = Path(args.copy_to)
-        target.mkdir(parents=True, exist_ok=True)
-        for name in FIXTURE_NAMES:
-            out = target / f"{name}.graph"
-            out.write_text(fixture_text(name))
-            print(out)
+    if args.name is not None:
+        sys.stdout.write(fixture_text(args.name))
     else:
         for name in FIXTURE_NAMES:
             print(name)
@@ -342,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plumb", help="star plumbing graph file of a Brieskorn triple")
     add_triple(p)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_plumb)
 
     p = sub.add_parser("invariants", help="det, signature, Wu class, mu-bar of a graph")
@@ -356,10 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="certify a diagram as S3 by plumbing moves")
     p.add_argument("graph", help="graph file path or fixture name")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument(
-        "--blow-up-depth", type=int, default=0,
-        help="also search up to this many +-1 insertions per path (default 0)",
-    )
     p.add_argument("--trace", metavar="FILE", help="write the move trace on S3")
     p.set_defaults(func=cmd_reduce)
 
@@ -374,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--s-range", type=int, nargs=2, metavar=("LO", "HI"),
         default=list(DEFAULT_SCAN_PARAMS.s_range),
     )
-    p.add_argument("--out", metavar="FILE", help="write the records report here")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=cmd_scan)
 
@@ -390,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_triple(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fixtures", help="list or copy the shipped fixtures")
-    p.add_argument("--copy-to", metavar="DIR")
+    p = sub.add_parser("fixtures", help="list the shipped fixtures, or print one")
+    p.add_argument("name", nargs="?", help="print this fixture's graph file")
     p.set_defaults(func=cmd_fixtures)
 
     return parser

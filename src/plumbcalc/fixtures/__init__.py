@@ -21,7 +21,7 @@ def fixture_text(name: str) -> str:
     name = _normalize(name)
     if name not in FIXTURE_NAMES:
         raise DomainError(f"no fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
-    return resources.files(__package__).joinpath(f"{name}.graph").read_text()
+    return resources.files(__package__).joinpath(f"{name}.graph").read_text(encoding="utf-8")
 
 
 def fixture_graph(name: str) -> PlumbingGraph:

@@ -132,15 +132,14 @@ CLI = {
     "check": ["-h --help", "a1", "a2", "a3"],
     "expand": ["-h --help", "num", "den"],
     "export-dot": ["-h --help", "graph"],
-    "fixtures": ["-h --help", "--copy-to"],
+    "fixtures": ["-h --help", "name"],
     "invariants": ["-h --help", "graph"],
     "mu": ["-h --help", "a1", "a2", "a3"],
-    "plumb": ["-h --help", "a1", "a2", "a3", "--out"],
-    "reduce": ["-h --help", "graph", "--budget", "--blow-up-depth", "--trace"],
+    "plumb": ["-h --help", "a1", "a2", "a3"],
+    "reduce": ["-h --help", "graph", "--budget", "--trace"],
     "replay-trace": ["-h --help", "trace"],
     "scan": [
-        "-h --help", "--p-bound", "--q-bound", "--r-range", "--s-range", "--out",
-        "--format",
+        "-h --help", "--p-bound", "--q-bound", "--r-range", "--s-range", "--format",
     ],
     "seifert": ["-h --help", "a1", "a2", "a3"],
 }

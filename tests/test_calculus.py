@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import permutations
@@ -206,6 +207,9 @@ def test_trace_replay_and_serialization(fixtures):
     for m in moves:
         g = apply_move(g, m)
     assert g == trace.end
+    # a trace whose moves do not lead to its recorded end fails its replay
+    with pytest.raises(MoveError, match="recorded end graph"):
+        dataclasses.replace(trace, end=trace.start).replay()
 
 
 def test_tampered_trace_fails():
@@ -432,6 +436,11 @@ def test_reduce_budget_exhaustion(fixtures):
         reduce_to_s3(fixtures["d3"], budget=0)
     with pytest.raises(DomainError, match="blow-up depth"):
         reduce_to_s3(fixtures["d3"], blow_up_depth=-1)
+    # int only, as ScanParams and BrieskornTriple: a float or bool ran silently
+    for kwargs in ({"budget": 2.5}, {"budget": True}, {"blow_up_depth": 0.5},
+                   {"blow_up_depth": False}):
+        with pytest.raises(DomainError, match="is not an integer"):
+            reduce_to_s3(fixtures["d3"], **kwargs)
 
 
 def test_reduce_is_deterministic(fixtures):

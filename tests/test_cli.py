@@ -15,6 +15,7 @@ from plumbcalc import (
     Move,
     MoveTrace,
     PlumbingGraph,
+    ReductionVerdict,
     Verdict,
     apply_move,
     candidate_triple,
@@ -71,15 +72,10 @@ def test_seifert_invalid_triple(capsys):
     assert code == 2 and "coprime" in err
 
 
-def test_plumb_round_trips(capsys, tmp_path):
+def test_plumb_round_trips(capsys):
     code, out, _ = run(capsys, "plumb", "3", "13", "23")
     assert code == 0
-    g = parse_graph(out)
-    assert g == fixture_graph("sigma-3-13-23")
-    out_file = tmp_path / "s.graph"
-    code, _, _ = run(capsys, "plumb", "3", "13", "23", "--out", str(out_file))
-    assert code == 0
-    assert parse_graph(out_file.read_text()) == g
+    assert parse_graph(out) == fixture_graph("sigma-3-13-23")
 
 
 # -- invariants ---------------------------------------------------------------------
@@ -280,21 +276,43 @@ def test_replay_trace_missing_file(capsys):
     assert code == 2
 
 
+def run_process(*argv, **env):
+    """The CLI as a fresh process, with src on PYTHONPATH and env added."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "plumbcalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("command", ["invariants", "reduce", "export-dot", "replay-trace"])
 def test_undecodable_file_exits_2(tmp_path, command):
     # a file that is not UTF-8 is a format error with one line, not a traceback
     f = tmp_path / "latin1.graph"
     f.write_bytes(b"# caf\xe9\nvertex a -2\n")
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "plumbcalc.cli", command, str(f)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_process(command, str(f))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {f}: not UTF-8 text (byte 5: invalid continuation byte)\n"
+
+
+def test_trace_is_utf8_under_an_ascii_locale(capsys, tmp_path):
+    # the graph's path goes into the trace's comment line; under an ASCII
+    # locale its non-ASCII bytes reach the CLI undecoded, and the trace is
+    # still written, as UTF-8 with those bytes escaped
+    f = tmp_path / "dé3.graph"
+    f.write_text(fixture_text("d3"), encoding="utf-8")
+    trace_file = tmp_path / "t.trace"
+    proc = run_process(
+        "reduce", str(f), "--trace", str(trace_file),
+        LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "S3\n", "")
+    assert "d\\udcc3\\udca93.graph" in trace_file.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "replay-trace", str(trace_file))
+    assert code == 0 and out == "replay ok: 7 moves, end graph has 0 vertices\n"
 
 
 def test_replay_trace_nonempty_end(capsys, tmp_path):
@@ -360,15 +378,13 @@ def test_scan_records_format(capsys):
     assert "extraction hypothesis" in out  # flagged in every report
 
 
-def test_scan_out_file_and_determinism(capsys, tmp_path):
-    f1, f2 = tmp_path / "a.records", tmp_path / "b.records"
+def test_scan_records_determinism(capsys):
     args = ["scan", "--p-bound", "20", "--q-bound", "20", "--r-range", "-4", "4",
-            "--s-range", "-4", "4"]
-    code, out1, _ = run(capsys, *args, "--out", str(f1))
+            "--s-range", "-4", "4", "--format", "records"]
+    code, out1, _ = run(capsys, *args)
     assert code == 0
-    code, out2, _ = run(capsys, *args, "--out", str(f2))
+    code, out2, _ = run(capsys, *args)
     assert out1 == out2
-    assert f1.read_text() == f2.read_text()
 
 
 def test_scan_tiny_bounds_zero_hits(capsys):
@@ -450,7 +466,7 @@ def test_check_3_13_23(capsys):
     ]
 
 
-def test_check_5_9_13(capsys):
+def test_check_5_9_13(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "5", "9", "13")
     assert code == 0
     lines = out.splitlines()
@@ -460,6 +476,15 @@ def test_check_5_9_13(capsys):
     assert lines[2] == "criterion rohlin-invariant-1: PASS (lattice 1, plumbing 1)"
     assert lines[3] == "criterion free-involution: PASS (all indices odd)"
     assert lines[4] == "result PASS"
+    # the fixture evidence counts only when the fixture reduces to S3
+    import plumbcalc.cli as cli
+
+    monkeypatch.setattr(cli, "reduce_to_s3", lambda g: (ReductionVerdict(Verdict.UNKNOWN), None))
+    code, out, _ = run(capsys, "check", "5", "9", "13")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "criterion surgery-coefficient-pm1: FAIL (fixture d3: UNKNOWN)"
+    assert lines[4] == "result FAIL (1 of 3 criteria unmet)"
 
 
 def test_check_witness_for_every_scanned_triple():
@@ -514,16 +539,21 @@ def test_check_fails_on_even_triple(capsys):
 # -- fixtures ----------------------------------------------------------------------
 
 
-def test_fixtures_list_and_copy(capsys, tmp_path):
+def test_fixtures_list_and_print(capsys):
+    import plumbcalc.fixtures
+
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
-    assert out.split() == list(FIXTURE_NAMES)
-    code, out, _ = run(capsys, "fixtures", "--copy-to", str(tmp_path))
-    assert code == 0
+    assert out == "".join(f"{name}\n" for name in FIXTURE_NAMES)
+    shipped = Path(plumbcalc.fixtures.__file__).parent
     for name in FIXTURE_NAMES:
-        copied = tmp_path / f"{name}.graph"
-        assert copied.exists()
-        assert parse_graph(copied.read_text()) == fixture_graph(name)
+        code, out, _ = run(capsys, "fixtures", name)
+        assert code == 0
+        assert out == (shipped / f"{name}.graph").read_text(encoding="utf-8")
+        assert parse_graph(out) == fixture_graph(name)
+    code, out, err = run(capsys, "fixtures", "d5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no fixture 'd5'") and err.count("\n") == 1
 
 
 def test_graph_argument_accepts_path_and_fixture_name(capsys, tmp_path):
@@ -573,15 +603,15 @@ def test_trace_files_end_with_canonical_d4_state(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan", "--p-bound", "5", "--q-bound", "5", "--out", "{missing}/x"],
-        ["plumb", "3", "5", "7", "--out", "{missing}/x.graph"],
         ["reduce", "d3", "--trace", "{missing}/t"],
+        ["reduce", "d3", "--trace", "{dir}"],
     ],
-    ids=["scan", "plumb", "reduce"],
+    ids=["reduce", "reduce-onto-directory"],
 )
 def test_unwritable_output_file_exits_2(capsys, tmp_path, argv):
+    # the trace is the one file the CLI writes
     missing = tmp_path / "no-such-dir"
-    code, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    code, out, err = run(capsys, *(arg.format(missing=missing, dir=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -598,9 +628,10 @@ def test_mu_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == "0 1\n"
     assert "disagree" in err
-    code, out, _ = run(capsys, "check", "3", "13", "23")
+    code, out, err = run(capsys, "check", "3", "13", "23")
     assert code == 3
     assert out.endswith("criterion rohlin-invariant-1: FAIL (lattice 0, plumbing 1)\n")
+    assert "disagree" in err
 
 
 def test_check_triple_without_witness_or_fixture(capsys):
@@ -736,5 +767,3 @@ def test_readme_tour_stdout(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code in (0, 1) and err == "", argv
         assert out == shown, argv
-    written = parse_graph((tmp_path / "s.graph").read_text())
-    assert canonical_form(written) == canonical_form(fixture_graph("sigma-3-13-23"))

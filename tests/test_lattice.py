@@ -219,6 +219,7 @@ def test_linking_matrix_examples(fixtures):
     single = linking_matrix(PlumbingGraph.build({"x": 7}))
     assert single.entries == ((7,),)
     d2 = linking_matrix(fixtures["d2"])
+    assert len(d2) == len(fixtures["d2"]) == 9
     assert tuple(d2.entries[i][i] for i in range(9)) == (-1, -3, -2, -7, -2, -3, -2, -2, -2)
     for i in range(9):
         for j in range(9):

@@ -104,6 +104,8 @@ def test_candidate_triple_examples():
         candidate_triple(2, 2, 1, 1)  # violates |coefficient| = 1 / gcd
     with pytest.raises(DomainError):
         candidate_triple(-13, 23, 3, 2)  # coefficient 301
+    with pytest.raises(DomainError, match="coprime"):
+        candidate_triple(1, -1, 2, 3)  # coefficient -1 but |p| = 1
 
 
 def test_candidate_triples_always_coprime():

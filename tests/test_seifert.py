@@ -107,6 +107,8 @@ def test_star_plumbing_single_arm_is_chain():
     # center plus the chain of -5/2: a path, every valence <= 2
     assert len(g) == 3
     assert all(g.valence(v) <= 2 for v in g.ids)
+    with pytest.raises(DomainError, match="more than six arms"):
+        star_plumbing(SeifertData(b=-1, arms=((2, 1),) * 7))
 
 
 def test_all_odd():
