@@ -25,7 +25,10 @@ __all__ = ["bezout", "neg_cont_frac", "eval_neg_cont_frac"]
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, u, v) with g = gcd(a, b) > 0 and
-    u*a + v*b = g.  Raises DomainError on (0, 0)."""
+    u*a + v*b = g.  Raises DomainError on (0, 0) and on non-int arguments."""
+    for n in (a, b):
+        if type(n) is not int:  # a float would run inexactly, a bool silently
+            raise DomainError(f"bezout argument {n!r} is not an integer")
     if a == 0 and b == 0:
         raise DomainError("bezout(0, 0) is undefined")
     # Invariants: u*a + v*b == g and nu*a + nv*b == ng throughout.
@@ -47,6 +50,8 @@ def _check_chain(terms) -> tuple[int, ...]:
     if not terms:
         raise DomainError("continued-fraction term list must be nonempty")
     for c in terms:
+        if type(c) is not int:
+            raise DomainError(f"continued-fraction term {c!r} is not an integer")
         if c > -2:
             raise DomainError(f"continued-fraction term {c} exceeds -2")
     return terms
@@ -58,8 +63,12 @@ def neg_cont_frac(x: Fraction | int) -> tuple[int, ...]:
 
     The step rule is c = -ceil(a/b) for x = -a/b (equivalently c = floor(x)),
     recursing on the exact remainder; each step strictly decreases the
-    denominator, so the expansion of -a/b has at most a terms.
+    denominator, so the expansion of -a/b has at most a terms.  Only an
+    int or a Fraction is exact: a float's binary value can expand to ~10^14
+    terms, so any other type raises DomainError.
     """
+    if type(x) not in (int, Fraction):
+        raise DomainError(f"neg_cont_frac takes an int or a Fraction, got {x!r}")
     x = Fraction(x)
     if x >= -1:
         raise DomainError(f"neg_cont_frac requires x < -1, got {x}")

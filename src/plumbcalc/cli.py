@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .calculus import DEFAULT_BUDGET, Verdict, _replay, reduce_to_s3
+from .calculus import Verdict, _replay, reduce_to_s3
 from .errors import (
     DomainError,
     GraphFormatError,
@@ -158,7 +158,7 @@ def cmd_mu(args) -> int:
 
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
-    verdict, trace = reduce_to_s3(g, budget=args.budget)
+    verdict, trace = reduce_to_s3(g)
     if verdict.status is Verdict.S3 and args.trace:
         # UTF-8, as _read_text reads it; a path byte the locale could not
         # decode is escaped in the comment instead of failing the write
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="certify a diagram as S3 by plumbing moves")
     p.add_argument("graph", help="graph file path or fixture name")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trace", metavar="FILE", help="write the move trace on S3")
     p.set_defaults(func=cmd_reduce)
 

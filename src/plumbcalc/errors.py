@@ -1,5 +1,15 @@
 """Exception hierarchy shared by every plumbcalc module."""
 
+__all__ = [
+    "PlumbcalcError",
+    "DomainError",
+    "MoveError",
+    "ParityError",
+    "SingularError",
+    "HypothesisError",
+    "GraphFormatError",
+]
+
 
 class PlumbcalcError(Exception):
     """Base class for all errors raised by this package."""

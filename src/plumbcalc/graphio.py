@@ -20,15 +20,22 @@ run of -1 blow-ups next to one vertex, then its blow-down) and from a search
 with a positive blow-up depth.
 
 Parsing reports the offending line for every malformed document.  One loop
-reads the lines.  It checks the format itself (directives, arity, integer
-weights, move-line id tokens, no graph line after a move) and feeds each
-graph line to the graphs module's forest validator, which checks the graph
-invariants.  Every check raises DomainError, and the loop reports it as
-GraphFormatError("<source>:<lineno>: <message>"), so the diagnostic points
-at the exact line that breaks the format or the forest.
+reads the lines.  It checks the format itself (directives, arity, weights
+as ASCII ``[+-]?[0-9]+``, move-line id tokens, no graph line after a move)
+and feeds each graph line to the graphs module's forest validator, which
+checks the graph invariants.  Every check raises DomainError, and the loop
+reports it as GraphFormatError("<source>:<lineno>: <message>"), so the
+diagnostic points at the exact line that breaks the format or the forest.
+On each line, id errors are reported before weight errors.
+
+A weight longer than Python's int/str digit limit (4300 digits by default;
+``sys.set_int_max_str_digits``) is reported as such; the CLI lifts the limit
+while a command runs, library callers set it themselves.
 """
 
 from __future__ import annotations
+
+import re
 
 from .calculus import _MOVE_ARITY, Move, MoveTrace
 from .errors import DomainError, GraphFormatError
@@ -41,6 +48,9 @@ __all__ = [
     "format_trace",
     "to_dot",
 ]
+
+# The weights format_graph writes; int() also takes "1_0" and non-ASCII digits.
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse(text: str, source: str, allow_moves: bool) -> tuple[PlumbingGraph, list[Move]]:
@@ -61,11 +71,8 @@ def _parse(text: str, source: str, allow_moves: bool) -> tuple[PlumbingGraph, li
                 if kind == "edge":
                     forest.add_edge(*args)
                     continue
-                try:
-                    weight = int(args[1])
-                except ValueError:  # add_vertex rejects the token after its id checks
-                    weight = args[1]
-                forest.add_vertex(args[0], weight)
+                forest.add_vertex(args[0], 0)  # its id errors come before weight errors
+                forest.weights[args[0]] = _weight(args[1], "weight")
             elif kind not in _MOVE_ARITY:
                 raise DomainError(f"unknown directive {kind!r}")
             elif not allow_moves:
@@ -84,15 +91,22 @@ def _move(kind: str, args: list[str]) -> Move:
         if kind == "blowup":
             raise DomainError("blowup line needs: blowup <weight> <id> [<id> [<id>]]")
         raise DomainError(f"{kind} line needs exactly {low} vertex id(s)")
-    weight = None
-    if kind == "blowup":
-        try:
-            weight = int(args[0])
-        except ValueError:
-            raise DomainError(f"blow-up weight {args[0]!r} is not an integer") from None
     for token in ids:
         _check_id(token)
+    weight = _weight(args[0], "blow-up weight") if kind == "blowup" else None
     return Move(kind, tuple(ids), weight=weight)
+
+
+def _weight(token: str, what: str) -> int:
+    if not _WEIGHT_RE.fullmatch(token):
+        raise DomainError(f"{what} {token!r} is not an integer")
+    try:
+        return int(token)
+    except ValueError:  # the only failure left: Python's int/str digit limit
+        raise DomainError(
+            f"{what} of {len(token.lstrip('+-'))} digits exceeds Python's int/str "
+            "digit limit (see sys.set_int_max_str_digits)"
+        ) from None
 
 
 def parse_graph(text: str, source: str = "<graph>") -> PlumbingGraph:

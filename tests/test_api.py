@@ -14,10 +14,10 @@ MODULE_ALL = {
         "BrieskornTriple", "DEFAULT_BUDGET", "DEFAULT_SCAN_PARAMS", "DomainError",
         "GraphFormatError", "HypothesisError", "LinkingMatrix", "Move", "MoveError",
         "MoveTrace", "ParityError", "PlumbcalcError", "PlumbingGraph",
-        "ReductionVerdict", "ScanParams", "ScanRecord", "SeifertData",
-        "SingularError", "Verdict", "__version__", "absorb_zero", "all_odd",
-        "all_odd_mu1_triples", "applicable_moves", "apply_move", "bezout",
-        "blow_down", "blow_up", "brieskorn_seifert", "brieskorn_signature_fast",
+        "ReductionVerdict", "ScanParams", "ScanRecord", "SeifertData", "SingularError",
+        "VERTEX_ID_RE", "Verdict", "__version__", "absorb_zero", "all_odd",
+        "all_odd_mu1_triples", "applicable_moves", "apply_move", "bezout", "blow_down",
+        "blow_up", "blow_up_moves", "brieskorn_seifert", "brieskorn_signature_fast",
         "cancel_zero_pair", "candidate_triple", "canonical_form", "determinant",
         "eval_neg_cont_frac", "format_graph", "format_trace", "linking_matrix",
         "mu_bar", "neg_cont_frac", "parse_graph", "parse_trace", "reduce_to_s3",
@@ -30,6 +30,10 @@ MODULE_ALL = {
         "absorb_zero", "applicable_moves", "apply_move", "blow_down", "blow_up",
         "blow_up_moves", "cancel_zero_pair", "canonical_form", "reduce_to_s3",
         "split_zero",
+    ],
+    "plumbcalc.errors": [
+        "DomainError", "GraphFormatError", "HypothesisError", "MoveError",
+        "ParityError", "PlumbcalcError", "SingularError",
     ],
     "plumbcalc.fixtures": ["FIXTURE_NAMES", "fixture_graph", "fixture_text"],
     "plumbcalc.graphio": [
@@ -136,7 +140,7 @@ CLI = {
     "invariants": ["-h --help", "graph"],
     "mu": ["-h --help", "a1", "a2", "a3"],
     "plumb": ["-h --help", "a1", "a2", "a3"],
-    "reduce": ["-h --help", "graph", "--budget", "--trace"],
+    "reduce": ["-h --help", "graph", "--trace"],
     "replay-trace": ["-h --help", "trace"],
     "scan": [
         "-h --help", "--p-bound", "--q-bound", "--r-range", "--s-range", "--format",
@@ -150,6 +154,18 @@ def test_module_all_is_pinned():
         module = importlib.import_module(name)
         assert sorted(module.__all__) == expected, name
         assert all(hasattr(module, attr) for attr in expected), name
+
+
+def test_package_exports_its_core_modules_names():
+    # each public name is declared once, in its module, and re-exported as is
+    core = ["errors", "arith", "graphs", "graphio", "lattice", "seifert", "calculus", "scan"]
+    modules = [importlib.import_module(f"plumbcalc.{name}") for name in core]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(plumbcalc.__all__) == sorted(["__version__", *names])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(plumbcalc, name) is getattr(module, name), name
 
 
 def test_public_signatures_are_pinned():

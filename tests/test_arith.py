@@ -39,7 +39,8 @@ def test_round_trip_random():
 
 
 def test_domain_errors():
-    for bad in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(3, 2), Fraction(-2, 2)):
+    for bad in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(3, 2), Fraction(-2, 2),
+                -1.5, "-9/4", True):
         with pytest.raises(DomainError):
             neg_cont_frac(bad)
 
@@ -47,7 +48,7 @@ def test_domain_errors():
 def test_eval_rejects_bad_chains():
     with pytest.raises(DomainError):
         eval_neg_cont_frac([])
-    for bad in ([-1], [-3, 0], [-2, 2], [-2, -1]):
+    for bad in ([-1], [-3, 0], [-2, 2], [-2, -1], [-2.5], ["-3"], [-3, True]):
         with pytest.raises(DomainError):
             eval_neg_cont_frac(bad)
 
@@ -73,8 +74,9 @@ def test_bezout_random():
 def test_bezout_zero_cases():
     assert bezout(0, 7) == (7, 0, 1)
     assert bezout(-4, 0)[0] == 4
-    with pytest.raises(DomainError):
-        bezout(0, 0)
+    for bad in ((0, 0), (2.0, 3), (3, True), ("2", 3)):
+        with pytest.raises(DomainError):
+            bezout(*bad)
 
 
 def test_big_integer_exactness():

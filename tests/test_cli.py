@@ -33,6 +33,12 @@ from plumbcalc.lattice import _graph_walk
 from plumbcalc.errors import GraphFormatError
 
 
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int/str digit limit",
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -238,11 +244,6 @@ def test_reduce_not_hs(capsys, tmp_path):
     assert code == 1 and out == "NOT-HS(3)\n"
 
 
-def test_reduce_budget(capsys):
-    code, out, _ = run(capsys, "reduce", "d3", "--budget", "2")
-    assert code == 1 and out == "UNKNOWN\n"
-
-
 def test_reduce_parse_error(capsys, tmp_path):
     f = tmp_path / "bad.graph"
     f.write_text("vertex a -2\nedge a b\n")
@@ -339,6 +340,16 @@ def test_replay_trace_nonempty_end(capsys, tmp_path):
         ("vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\nedge a c\n", 6, "cycle"),
         ("vertex a\n", 1, "vertex line needs"),
         ("vertex a -2\nblowdown a\n", 2, "move line"),
+        # weights are ASCII [+-]?[0-9]+, as format_graph writes them
+        ("vertex a 1_0\n", 1, "weight '1_0' is not an integer"),
+        pytest.param("vertex a \u0663\n", 1, "not an integer", id="non-ascii-digit"),
+        # id errors come before weight errors
+        ("vertex a$ x\n", 1, "bad vertex id 'a$'"),
+        ("vertex a -2\nvertex a x\n", 2, "duplicate"),
+        pytest.param(
+            f"vertex a -{'9' * 5000}\n", 1, "sys.set_int_max_str_digits",
+            id="weight-past-the-digit-limit", marks=NEEDS_DIGIT_LIMIT,
+        ),
     ],
 )
 def test_graph_parse_diagnostics(text, lineno, fragment):
@@ -574,6 +585,7 @@ def test_graph_argument_accepts_path_and_fixture_name(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["expand", "-9"]) == 2  # missing positional
     assert main(["unknown-subcommand"]) == 2
+    assert main(["reduce", "d3", "--budget", "2"]) == 2  # the library's budget only
     capsys.readouterr()
 
 
@@ -656,6 +668,12 @@ def test_check_triple_without_witness_or_fixture(capsys):
         ("split b!", "bad vertex id 'b!'"),
         ("blowup -1", "blowup line needs: blowup <weight> <id> [<id> [<id>]]"),
         ("blowup x z0 a", "blow-up weight 'x' is not an integer"),
+        ("blowup 1_0 z0 a", "blow-up weight '1_0' is not an integer"),
+        ("blowup x z$ a", "bad vertex id 'z$'"),
+        pytest.param(
+            f"blowup -{'9' * 5000} z0 a", "sys.set_int_max_str_digits",
+            id="blow-up-weight-past-the-digit-limit", marks=NEEDS_DIGIT_LIMIT,
+        ),
     ],
 )
 def test_trace_parse_move_diagnostics(move_line, fragment):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ GOLDEN = ROOT / "tests" / "data" / "gamma_candidates.out"
 def test_gamma_screen_runs_and_reports():
     # the screen's augmented matrices are symmetric with a cycle, so this
     # pins the diagonalization route of determinant byte for byte
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT)], capture_output=True, timeout=120
+        [sys.executable, str(SCRIPT)], capture_output=True, env=env, timeout=120
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN.read_bytes()
