@@ -244,6 +244,12 @@ def test_reduce_not_hs(capsys, tmp_path):
     assert code == 1 and out == "NOT-HS(3)\n"
 
 
+def test_reduce_budget(capsys):
+    # the step budget is the library's only: the CLI knob is a usage error
+    code, out, err = run(capsys, "reduce", "d3", "--budget", "2")
+    assert code == 2 and out == "" and "--budget" in err
+
+
 def test_reduce_parse_error(capsys, tmp_path):
     f = tmp_path / "bad.graph"
     f.write_text("vertex a -2\nedge a b\n")
@@ -585,7 +591,6 @@ def test_graph_argument_accepts_path_and_fixture_name(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["expand", "-9"]) == 2  # missing positional
     assert main(["unknown-subcommand"]) == 2
-    assert main(["reduce", "d3", "--budget", "2"]) == 2  # the library's budget only
     capsys.readouterr()
 
 
