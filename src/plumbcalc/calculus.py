@@ -372,7 +372,7 @@ def canonical_form(g: PlumbingGraph) -> str:
     Two adjacent vertices of one round are a bicentral tree's centers: each
     is encoded once more with the other as an extra child, and the smaller
     string is kept.  Every vertex is reached because every PlumbingGraph
-    is a forest; on a cycle the pass would stall.
+    is a forest.
     """
     return _forest_code(g._weight_map, g._adjacency)
 
@@ -573,8 +573,11 @@ def _search(
             if skey in parents:
                 continue
             if len(parents) >= budget:
+                # Nothing more can be admitted, so only a queued empty
+                # diagram can still end the search: expand nothing else.
                 budget_hit = True
-                continue
+                queue = deque(item for item in queue if not item[0].weight)
+                break
             parents[skey] = (key, move)
             queue.append((successor, skey))
     return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=budget_hit), None

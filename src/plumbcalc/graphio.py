@@ -1,5 +1,8 @@
 """Line-oriented file formats for plumbing graphs and move traces.
 
+Lines end at a line feed (CRLF works too); a leading byte-order mark is
+ignored.
+
 Graph files: ``#`` comments and blank lines are ignored; every other line is
 
     vertex <id> <weight>
@@ -56,7 +59,7 @@ _WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
 def _parse(text: str, source: str, allow_moves: bool) -> tuple[PlumbingGraph, list[Move]]:
     """(start graph, moves) of a graph or trace document."""
     forest, moves = _ForestBuilder(), []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -81,7 +84,7 @@ def _parse(text: str, source: str, allow_moves: bool) -> tuple[PlumbingGraph, li
                 moves.append(_move(kind, args))
         except DomainError as exc:
             raise GraphFormatError(f"{source}:{lineno}: {exc}") from None
-    return forest.graph(), moves
+    return PlumbingGraph.build(forest.weights, forest.edges), moves
 
 
 def _move(kind: str, args: list[str]) -> Move:

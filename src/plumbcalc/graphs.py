@@ -9,9 +9,9 @@ output (matrices, file formats, search order) always sorts by id.
 Instances are immutable; the calculus edits a private mutable copy of a
 graph's weights and adjacency, and builds a new graph from it when done.
 Every invariant is checked in one place, the incremental ``_ForestBuilder``
-below: ``PlumbingGraph.build`` feeds it a whole graph and the graphio parser
-feeds it one line at a time, so any PlumbingGraph in hand is a genuine
-simple forest.
+below: the PlumbingGraph constructor feeds it a whole graph and the graphio
+parser feeds it one line at a time, so any PlumbingGraph in hand is a
+genuine simple forest.
 """
 
 from __future__ import annotations
@@ -33,25 +33,28 @@ class PlumbingGraph:
     """Immutable simple weighted forest.
 
     ``vertices`` is a tuple of (id, weight) pairs sorted by id; ``edges`` is
-    a tuple of (u, v) pairs with u < v, sorted.  Use :meth:`build` rather
-    than the raw constructor so the invariants are checked and the tuples
-    normalized.
+    a tuple of (u, v) pairs with u < v, sorted.  The constructor takes the
+    pairs in any order, raises DomainError unless they make a simple forest
+    with well-formed ids, and stores them sorted.
     """
 
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
 
+    def __post_init__(self):
+        forest = _ForestBuilder()
+        for v, w in self.vertices:
+            forest.add_vertex(v, w)
+        for u, v in self.edges:
+            forest.add_edge(u, v)
+        object.__setattr__(self, "vertices", tuple(sorted(forest.weights.items())))
+        object.__setattr__(self, "edges", tuple(sorted(forest.edges)))
+
     @classmethod
     def build(cls, weights, edges=()) -> "PlumbingGraph":
         """Create a graph from a {id: weight} mapping and an iterable of
-        edge pairs.  Raises DomainError unless the result is a simple forest
-        with well-formed ids."""
-        forest = _ForestBuilder()
-        for v, w in weights.items():
-            forest.add_vertex(v, w)
-        for u, v in edges:
-            forest.add_edge(u, v)
-        return forest.graph()
+        edge pairs; the constructor checks and sorts them."""
+        return cls(tuple(weights.items()), tuple(edges))
 
     # -- accessors ---------------------------------------------------------
 
@@ -167,9 +170,3 @@ class _ForestBuilder:
             raise DomainError(f"edge ({u!r}, {v!r}) closes a cycle (graph must be a forest)")
         self._parent[ru] = rv
         self.edges.append(e)
-
-    def graph(self) -> PlumbingGraph:
-        return PlumbingGraph(
-            vertices=tuple(sorted(self.weights.items())),
-            edges=tuple(sorted(self.edges)),
-        )

@@ -38,7 +38,7 @@ from plumbcalc import (
     split_zero,
     star_plumbing,
 )
-from plumbcalc.calculus import _greedy_pass, _search, blow_up_moves
+from plumbcalc.calculus import _Diagram, _greedy_pass, _search, blow_up_moves
 
 
 # -- individual moves ----------------------------------------------------------
@@ -719,6 +719,16 @@ def test_blow_up_search_on_e8(fixtures):
     verdict, _ = reduce_to_s3(fixtures["e8"], budget=10, blow_up_depth=1)
     assert verdict.status is Verdict.UNKNOWN
     assert verdict.budget_exhausted is True
+
+
+def test_search_stops_expanding_once_its_budget_is_full(fixtures, monkeypatch):
+    # once a state is turned away, nothing more can be admitted
+    expanded = []
+    moves = _Diagram.moves
+    monkeypatch.setattr(_Diagram, "moves", lambda self: expanded.append(1) or moves(self))
+    verdict, trace = reduce_to_s3(fixtures["e8"], budget=300, blow_up_depth=2)
+    assert verdict.status is Verdict.UNKNOWN and verdict.budget_exhausted is True
+    assert trace is None and len(expanded) < 300
 
 
 def recorded(moves):

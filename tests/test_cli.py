@@ -371,6 +371,40 @@ def test_graph_file_comments_and_blanks_ok():
     assert len(g) == 2 and g.has_edge("a", "b")
 
 
+LINE_BREAK_DOCUMENTS = [
+    # only a line feed ends a line, so the form feed and U+2028 stay in their comments
+    pytest.param("# note\x0cvertex a 5\nvertex b -1\n", id="form-feed-in-comment"),
+    pytest.param("# note\u2028vertex a 5\nvertex b -1\n", id="line-separator-in-comment"),
+    pytest.param("\ufeffvertex b -1\n", id="byte-order-mark"),
+    pytest.param("# note\r\nvertex b -1\r\n", id="crlf"),
+]
+
+
+@pytest.mark.parametrize("text", LINE_BREAK_DOCUMENTS)
+def test_graph_file_lines_end_at_line_feeds(text):
+    assert parse_graph(text) == PlumbingGraph.build({"b": -1})
+
+
+def test_graph_file_line_numbers_count_line_feeds():
+    with pytest.raises(GraphFormatError, match="^doc:2: duplicate"):
+        parse_graph("vertex a -2\u2028\nvertex a -3\n", source="doc")
+    # a lone carriage return ends no line of a string
+    with pytest.raises(GraphFormatError, match="^doc:1: vertex line needs"):
+        parse_graph("vertex a -2\rvertex b -1\r", source="doc")
+
+
+@pytest.mark.parametrize(
+    "text", [*LINE_BREAK_DOCUMENTS, pytest.param("# note\rvertex b -1\r", id="cr")]
+)
+def test_cli_reads_line_breaks_in_files(capsys, tmp_path, text):
+    # the CLI reads files with universal newlines, so there a lone \r ends a line
+    f = tmp_path / "g.graph"
+    f.write_bytes(text.encode("utf-8"))
+    plain = tmp_path / "plain.graph"
+    plain.write_text("vertex b -1\n")
+    assert run(capsys, "invariants", str(f)) == run(capsys, "invariants", str(plain))
+
+
 # -- scan ------------------------------------------------------------------------------
 
 

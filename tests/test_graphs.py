@@ -1,6 +1,6 @@
 import pytest
 
-from plumbcalc import DomainError, PlumbingGraph
+from plumbcalc import DomainError, PlumbingGraph, format_graph
 
 
 @pytest.mark.parametrize(
@@ -20,8 +20,18 @@ from plumbcalc import DomainError, PlumbingGraph
     ],
 )
 def test_build_rejections(weights, edges, fragment):
-    with pytest.raises(DomainError, match=fragment):
-        PlumbingGraph.build(weights, edges)
+    # the raw constructor checks what build checks
+    for make in (PlumbingGraph.build, lambda ws, es: PlumbingGraph(tuple(ws.items()), tuple(es))):
+        with pytest.raises(DomainError, match=fragment):
+            make(weights, edges)
+
+
+def test_constructor_sorts_what_it_is_given():
+    g = PlumbingGraph((("b", -1), ("a", -2)), (("b", "a"),))
+    built = PlumbingGraph.build({"a": -2, "b": -1}, [("a", "b")])
+    assert g == built and hash(g) == hash(built)
+    assert g.vertices == (("a", -2), ("b", -1)) and g.edges == (("a", "b"),)
+    assert format_graph(g) == "vertex a -2\nvertex b -1\nedge a b\n"
 
 
 def test_has_edge():
