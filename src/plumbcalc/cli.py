@@ -12,16 +12,17 @@ Exit codes are fixed so shell scripts need no output parsing:
 
 Reports go to stdout; the one file written is the ``reduce --trace`` file.
 Every command is deterministic: identical invocations produce byte-identical
-stdout and trace files.  Graph-file arguments accept either a path or the
-name of a shipped fixture (d2, d3, d4, e8, sigma-3-13-23).
+stdout and trace files.  Graph and trace arguments accept any readable path,
+a pipe or /dev/stdin included; a graph argument that names no existing path
+is looked up as a shipped fixture (d2, d3, d4, e8, sigma-3-13-23).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .calculus import Verdict, _replay, reduce_to_s3
 from .errors import (
@@ -61,21 +62,23 @@ EXIT_DISAGREE = 3
 _FIXTURE_SURGERY_EVIDENCE = {(5, 9, 13): "d3"}
 
 
-def _read_text(path: Path) -> str:
-    """The file's text; GraphFormatError, not a traceback, when it is not
-    UTF-8."""
+def _read_text(path: str) -> str:
+    """The text at path, read as UTF-8; GraphFormatError, not a traceback,
+    when there is no such file or it is not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+    except (FileNotFoundError, ValueError):  # ValueError: a NUL byte, which no path holds
+        raise GraphFormatError(f"{path}: no such file") from None
 
 
 def _load_graph(arg: str) -> PlumbingGraph:
-    path = Path(arg)
-    if path.is_file():
-        return parse_graph(_read_text(path), source=str(path))
+    if os.path.exists(arg):
+        return parse_graph(_read_text(arg), source=arg)
     try:
         return fixture_graph(arg)
     except DomainError:
@@ -163,7 +166,8 @@ def cmd_reduce(args) -> int:
         # UTF-8, as _read_text reads it; a path byte the locale could not
         # decode is escaped in the comment instead of failing the write
         text = format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])
-        Path(args.trace).write_text(text, encoding="utf-8", errors="backslashreplace")
+        with open(args.trace, "w", encoding="utf-8", errors="backslashreplace") as f:
+            f.write(text)
     print(str(verdict))
     return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE
 
@@ -215,10 +219,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_replay_trace(args) -> int:
-    path = Path(args.trace)
-    if not path.is_file():
-        raise GraphFormatError(f"{args.trace}: no such file")
-    start, moves = parse_trace(_read_text(path), source=str(path))
+    start, moves = parse_trace(_read_text(args.trace), source=args.trace)
     g = _replay(start, moves)
     print(f"replay ok: {len(moves)} moves, end graph has {len(g)} vertices")
     end_text = format_graph(g)

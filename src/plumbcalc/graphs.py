@@ -116,12 +116,6 @@ class PlumbingGraph:
             comps.append(frozenset(comp))
         return tuple(sorted(comps, key=min))
 
-    def relabeled(self, mapping) -> "PlumbingGraph":
-        """Apply an injective id relabeling (used by invariance tests)."""
-        weights = {mapping[v]: w for v, w in self.vertices}
-        edges = [(mapping[u], mapping[v]) for u, v in self.edges]
-        return PlumbingGraph.build(weights, edges)
-
 
 def _check_id(v) -> None:
     if not isinstance(v, str) or not VERTEX_ID_RE.match(v):

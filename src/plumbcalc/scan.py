@@ -176,20 +176,6 @@ def _factor_pairs(k: int, r_range, s_range) -> list[tuple[int, int]]:
     return pairs
 
 
-def _make_record(p, q, r, s, mu_cache) -> ScanRecord:
-    try:
-        triple = candidate_triple(p, q, r, s)
-    except HypothesisError:
-        return ScanRecord(p, q, r, s, triple=None, all_odd=None, mu=None)
-    odd = all_odd(triple)
-    mu = None
-    if odd:
-        if triple not in mu_cache:
-            mu_cache[triple] = rohlin_from_signature(triple)
-        mu = mu_cache[triple]
-    return ScanRecord(p, q, r, s, triple=triple, all_odd=odd, mu=mu)
-
-
 def scan_range(params: ScanParams) -> list[ScanRecord]:
     """All coefficient +-1 records in the parameter box, sorted by
     (|p|, |q|, r, s, p, q).  Deterministic: identical params give an
@@ -201,7 +187,6 @@ def scan_range(params: ScanParams) -> list[ScanRecord]:
         p_bound * q_bound + 1,
     )
     bound = max(p_bound, q_bound)
-    mu_cache: dict[BrieskornTriple, int] = {}
     records = []
     for k in range(1, k_max + 1):
         pairs = None
@@ -218,11 +203,18 @@ def scan_range(params: ScanParams) -> list[ScanRecord]:
                 pairs = _factor_pairs(k, params.r_range, params.s_range)
             if not pairs:
                 break
-            # triple, all_odd and mu depend only on {k, x, y}
-            base = _make_record(*signs[0], *pairs[0], mu_cache)
+            # triple, all_odd and mu depend only on {k, x, y}: every sign
+            # and (r, s) pair of this solution shares one mu computation
+            try:
+                triple = candidate_triple(*signs[0], *pairs[0])
+            except HypothesisError:
+                triple = odd = mu = None
+            else:
+                odd = all_odd(triple)
+                mu = rohlin_from_signature(triple) if odd else None
             for p, q in signs:
                 for r, s in pairs:
-                    rec = ScanRecord(p, q, r, s, base.triple, base.all_odd, base.mu)
+                    rec = ScanRecord(p, q, r, s, triple, odd, mu)
                     assert abs(rec.coefficient) == 1
                     records.append(rec)
     records.sort(key=lambda rec: rec.sort_key)

@@ -55,6 +55,17 @@ def random_relabeling(rng: random.Random, g: PlumbingGraph) -> dict:
     return dict(zip(ids, tokens))
 
 
+def relabeled(g: PlumbingGraph, mapping: dict) -> PlumbingGraph:
+    """g with each vertex id v renamed to mapping[v].  The mapping must be
+    injective and cover every id, or two vertices would merge or one would
+    be lost."""
+    assert set(mapping) >= set(g.ids), "the mapping misses a vertex id"
+    assert len({mapping[v] for v in g.ids}) == len(g), "the mapping is not injective"
+    return PlumbingGraph.build(
+        {mapping[v]: w for v, w in g.vertices}, [(mapping[u], mapping[v]) for u, v in g.edges]
+    )
+
+
 def coprime_triples(lo: int, hi: int, odd_only: bool = False):
     """All pairwise coprime triples lo <= a1 < a2 < a3 <= hi."""
     from math import gcd

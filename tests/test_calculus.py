@@ -13,6 +13,7 @@ from conftest import (
     path_graph,
     random_forest,
     random_relabeling,
+    relabeled,
 )
 from plumbcalc import (
     DEFAULT_BUDGET,
@@ -226,7 +227,7 @@ def test_canonical_form_relabel_invariance(fixtures):
     rng = random.Random(17)
     for g in (fixtures["d2"], fixtures["d3"], fixtures["e8"]):
         for _ in range(5):
-            h = g.relabeled(random_relabeling(rng, g))
+            h = relabeled(g, random_relabeling(rng, g))
             assert canonical_form(h) == canonical_form(g)
 
 
@@ -256,7 +257,7 @@ def test_canonical_form_distinguishes_weights_and_shape():
 def test_canonical_form_deep_path():
     # deeper than the interpreter's recursion limit
     g = path_graph(*[-2] * 3000)
-    h = g.relabeled({v: f"q{i:04d}" for i, v in enumerate(reversed(g.ids))})
+    h = relabeled(g, {v: f"q{i:04d}" for i, v in enumerate(reversed(g.ids))})
     form = canonical_form(g)
     assert form == canonical_form(h)
     assert form.count("(-2") == 3000
@@ -266,7 +267,7 @@ def test_canonical_form_random_relabeling():
     rng = random.Random(23)
     for _ in range(50):
         g = random_forest(rng, max_vertices=9)
-        h = g.relabeled(random_relabeling(rng, g))
+        h = relabeled(g, random_relabeling(rng, g))
         assert canonical_form(h) == canonical_form(g)
 
 

@@ -283,15 +283,56 @@ def test_replay_trace_missing_file(capsys):
     assert code == 2
 
 
-def run_process(*argv, **env):
-    """The CLI as a fresh process, with src on PYTHONPATH and env added."""
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "/nonexistent/x.graph"], "/nonexistent/x.graph: no such file or fixture"),
+        (["replay-trace", "/nonexistent/x.trace"], "/nonexistent/x.trace: no such file"),
+        (["replay-trace", "x\0.trace"], "x\0.trace: no such file"),  # only main() can get a NUL
+    ],
+    ids=["graph", "trace", "trace-with-nul"],
+)
+def test_missing_path_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["invariants", "reduce", "export-dot", "replay-trace"])
+def test_directory_argument_exits_2(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_process(*argv, input=None, **env):
+    """The CLI as a fresh process, with src on PYTHONPATH, env added and
+    input, if given, on its stdin."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "plumbcalc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        input=input, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+NEEDS_DEV_STDIN = pytest.mark.skipif(
+    not os.path.exists("/dev/stdin"), reason="this system has no /dev/stdin"
+)
+
+
+@NEEDS_DEV_STDIN
+def test_invariants_reads_a_pipe(capsys):
+    # a pipe is not a regular file; it is read like one
+    proc = run_process("invariants", "/dev/stdin", input=fixture_text("d2"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, *run(capsys, "invariants", "d2")[1:])
+
+
+@NEEDS_DEV_STDIN
+def test_replay_trace_reads_a_pipe():
+    text = (Path(__file__).parent / "data" / "d3.trace").read_text(encoding="utf-8")
+    proc = run_process("replay-trace", "/dev/stdin", input=text)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "replay ok: 7 moves, end graph has 0 vertices\n"
 
 
 @pytest.mark.parametrize("command", ["invariants", "reduce", "export-dot", "replay-trace"])

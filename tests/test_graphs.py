@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import relabeled
 from plumbcalc import DomainError, PlumbingGraph, format_graph
 
 
@@ -42,3 +43,17 @@ def test_has_edge():
     for accessor in (g.weight, g.neighbors):
         with pytest.raises(DomainError, match="no vertex 'z'"):
             accessor("z")
+
+
+def test_relabeled_helper_rejects_maps_that_merge_or_drop_vertices():
+    # a relabeling must be a bijection onto new ids: the invariance tests
+    # compare g with relabeled(g, ...), so a merged or lost vertex would make
+    # them compare two different graphs
+    g = PlumbingGraph.build({"a": -1, "b": -2}, [("a", "b")])
+    assert relabeled(g, {"a": "y", "b": "x"}) == PlumbingGraph.build(
+        {"y": -1, "x": -2}, [("x", "y")]
+    )
+    with pytest.raises(AssertionError, match="not injective"):
+        relabeled(PlumbingGraph.build({"a": -1, "b": -2}), {"a": "x", "b": "x"})
+    with pytest.raises(AssertionError, match="misses a vertex id"):
+        relabeled(g, {"a": "x"})
