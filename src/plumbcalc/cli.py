@@ -166,8 +166,11 @@ def cmd_reduce(args) -> int:
         # UTF-8, as _read_text reads it; a path byte the locale could not
         # decode is escaped in the comment instead of failing the write
         text = format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])
-        with open(args.trace, "w", encoding="utf-8", errors="backslashreplace") as f:
-            f.write(text)
+        try:
+            with open(args.trace, "w", encoding="utf-8", errors="backslashreplace") as f:
+                f.write(text)
+        except ValueError:  # a NUL byte, which no path holds
+            raise DomainError(f"{args.trace}: no such file") from None
     print(str(verdict))
     return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE
 

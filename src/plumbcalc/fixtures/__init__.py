@@ -1,6 +1,6 @@
 """Shipped example diagrams, usable by name from the CLI and the tests."""
 
-from importlib import resources
+import os
 
 from ..errors import DomainError
 from ..graphio import parse_graph
@@ -21,7 +21,8 @@ def fixture_text(name: str) -> str:
     name = _normalize(name)
     if name not in FIXTURE_NAMES:
         raise DomainError(f"no fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
-    return resources.files(__package__).joinpath(f"{name}.graph").read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), f"{name}.graph"), encoding="utf-8") as f:
+        return f.read()
 
 
 def fixture_graph(name: str) -> PlumbingGraph:

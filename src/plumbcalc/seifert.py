@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bezout, neg_cont_frac
+from .arith import neg_cont_frac
 from .errors import DomainError, ParityError
 from .graphs import PlumbingGraph
 
@@ -116,9 +116,7 @@ def brieskorn_seifert(t: BrieskornTriple) -> SeifertData:
     acc = 0
     for alpha in t.indices:
         co = a // alpha
-        g, u, _ = bezout(co, alpha)  # u inverts co mod alpha (g = 1 by coprimality)
-        assert g == 1
-        beta = (-u) % alpha
+        beta = -pow(co, -1, alpha) % alpha  # co is invertible mod alpha by coprimality
         assert 0 < beta < alpha and (co * beta) % alpha == alpha - 1
         arms.append((alpha, beta))
         acc += beta * co

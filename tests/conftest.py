@@ -6,6 +6,7 @@ reproducible; no test depends on wall-clock or iteration order of sets.
 
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,15 @@ def coprime_triples(lo: int, hi: int, odd_only: bool = False):
                 if gcd(a1, a3) == 1 and gcd(a2, a3) == 1:
                     out.append((a1, a2, a3))
     return out
+
+
+def eval_neg_cont_frac(terms) -> Fraction:
+    """c1 - 1/(c2 - 1/(... - 1/ck)), evaluated exactly: the oracle of
+    ``neg_cont_frac``, which it inverts."""
+    acc = Fraction(terms[-1])
+    for c in reversed(terms[:-1]):
+        acc = c - 1 / acc
+    return acc
 
 
 def brieskorn_signature(t) -> int:

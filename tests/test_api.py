@@ -16,15 +16,15 @@ MODULE_ALL = {
         "MoveTrace", "ParityError", "PlumbcalcError", "PlumbingGraph",
         "ReductionVerdict", "ScanParams", "ScanRecord", "SeifertData", "SingularError",
         "VERTEX_ID_RE", "Verdict", "__version__", "absorb_zero", "all_odd",
-        "all_odd_mu1_triples", "applicable_moves", "apply_move", "bezout", "blow_down",
+        "all_odd_mu1_triples", "applicable_moves", "apply_move", "blow_down",
         "blow_up", "blow_up_moves", "brieskorn_seifert", "brieskorn_signature_fast",
         "cancel_zero_pair", "candidate_triple", "canonical_form", "determinant",
-        "eval_neg_cont_frac", "format_graph", "format_trace", "linking_matrix",
+        "format_graph", "format_trace", "linking_matrix",
         "mu_bar", "neg_cont_frac", "parse_graph", "parse_trace", "reduce_to_s3",
         "rohlin_from_signature", "rohlin_mu_bar", "scan_range", "signature",
         "split_zero", "star_plumbing", "surgery_coefficient", "to_dot", "wu_class",
     ],
-    "plumbcalc.arith": ["bezout", "eval_neg_cont_frac", "neg_cont_frac"],
+    "plumbcalc.arith": ["neg_cont_frac"],
     "plumbcalc.calculus": [
         "DEFAULT_BUDGET", "Move", "MoveTrace", "ReductionVerdict", "Verdict",
         "absorb_zero", "applicable_moves", "apply_move", "blow_down", "blow_up",
@@ -91,7 +91,6 @@ SIGNATURES = {
     "all_odd_mu1_triples": "(records) -> 'list[BrieskornTriple]'",
     "applicable_moves": "(g: 'PlumbingGraph') -> 'list[Move]'",
     "apply_move": "(g: 'PlumbingGraph', move: 'Move') -> 'PlumbingGraph'",
-    "bezout": "(a: 'int', b: 'int') -> 'tuple[int, int, int]'",
     "blow_down": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
     "blow_up": (
         "(g: 'PlumbingGraph', new_id: 'str', weight: 'int', "
@@ -104,7 +103,6 @@ SIGNATURES = {
     "candidate_triple": "(p: 'int', q: 'int', r: 'int', s: 'int') -> 'BrieskornTriple'",
     "canonical_form": "(g: 'PlumbingGraph') -> 'str'",
     "determinant": "(m) -> 'int'",
-    "eval_neg_cont_frac": "(terms) -> 'Fraction'",
     "fixture_graph": "(name: str) -> plumbcalc.graphs.PlumbingGraph",
     "fixture_text": "(name: str) -> str",
     "format_graph": "(g: 'PlumbingGraph', comments=()) -> 'str'",

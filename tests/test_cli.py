@@ -315,6 +315,18 @@ def run_process(*argv, input=None, **env):
     )
 
 
+def test_cli_import_loads_no_resource_or_path_modules():
+    # fixtures are files next to their module, read with open(); -S keeps
+    # the interpreter's site hooks from importing either module first
+    code = ("import sys, plumbcalc.cli; "
+            "print({'importlib.resources', 'pathlib'} & set(sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
+
+
 NEEDS_DEV_STDIN = pytest.mark.skipif(
     not os.path.exists("/dev/stdin"), reason="this system has no /dev/stdin"
 )
@@ -697,8 +709,9 @@ def test_trace_files_end_with_canonical_d4_state(capsys, tmp_path):
     [
         ["reduce", "d3", "--trace", "{missing}/t"],
         ["reduce", "d3", "--trace", "{dir}"],
+        ["reduce", "d3", "--trace", "{dir}/t\0"],  # only main() can get a NUL
     ],
-    ids=["reduce", "reduce-onto-directory"],
+    ids=["reduce", "reduce-onto-directory", "reduce-to-nul-path"],
 )
 def test_unwritable_output_file_exits_2(capsys, tmp_path, argv):
     # the trace is the one file the CLI writes

@@ -12,7 +12,8 @@ seeded generator:
   sometimes added;
 - graph and trace arguments name generated files, mutated line by line
   (lines dropped, duplicated, swapped or cut, a token replaced, bad bytes
-  inserted), or fixtures, missing paths and a directory.
+  inserted), or fixtures, missing paths, paths holding a NUL byte and a
+  directory.
 
 Known gaps, inputs whose cost grows with a value rather than its digits, so
 the generator keeps that value small:
@@ -119,7 +120,7 @@ class _Argv:
     def _path(self, texts, other) -> str:
         kind = self.rng.randrange(10)
         if kind == 0:
-            return str(self.tmp / "missing" / "x")
+            return str(self.tmp / self.rng.choice(["missing/x", "nul\0x"]))
         if kind == 1:
             return str(self.tmp)
         if kind == 2:
@@ -146,7 +147,8 @@ class _Argv:
         if arg == "name":
             return rng.choice([[], [rng.choice(FIXTURE_NAMES)], [_int_token(rng)]])
         if arg == "--trace":
-            target = rng.choice([self.tmp / "out.trace", self.tmp, self.tmp / "missing" / "t"])
+            target = rng.choice([self.tmp / "out.trace", self.tmp, self.tmp / "missing" / "t",
+                                 self.tmp / "nul\0t"])
             return rng.choice([[], ["--trace", str(target)]])
         if arg in ("--p-bound", "--q-bound"):
             return rng.choice([[], [arg, _int_token(rng, SMALL)]])
