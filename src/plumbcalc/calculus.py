@@ -2,10 +2,10 @@
 a reducer that certifies diagrams as S^3 with replayable move traces.
 
 Every move's preconditions and edits live in one place, a private mutable
-diagram (weights and adjacency).  The public moves and ``apply_move``
-return validated graphs; the greedy pass and trace replay edit one private
-copy and validate only the graph it ends as, which is enough because each
-move keeps a simple forest a simple forest when its preconditions hold.
+diagram (weights and adjacency).  ``apply_move`` and ``blow_up`` return
+validated graphs; the greedy pass and trace replay edit one private copy
+and validate only the graph it ends as, which is enough because each move
+keeps a simple forest a simple forest when its preconditions hold.
 Every move preserves |det| of the linking matrix, so the reducer rejects
 |det| != 1 inputs immediately and never re-checks determinants.  The moves
 are the blow-down and its inverse, the blow-up; W. Neumann's 0-chain
@@ -52,12 +52,8 @@ __all__ = [
     "Verdict",
     "ReductionVerdict",
     "DEFAULT_BUDGET",
-    "blow_down",
     "blow_up",
     "blow_up_moves",
-    "cancel_zero_pair",
-    "absorb_zero",
-    "split_zero",
     "applicable_moves",
     "apply_move",
     "reduce_to_s3",
@@ -104,44 +100,14 @@ class Move:
         return f"{self.kind} {' '.join(self.ids)}"
 
 
-def blow_down(g: PlumbingGraph, v: str) -> PlumbingGraph:
-    """Blow down a vertex of weight +-1 and valence <= 2: the vertex goes
-    away, each former neighbor's weight drops by the blown weight, and two
-    former neighbors become adjacent.  |det| is unchanged."""
-    return apply_move(g, Move("blowdown", (v,)))
-
-
 def blow_up(
     g: PlumbingGraph, new_id: str, weight: int, attach: tuple[str, ...] = ()
 ) -> PlumbingGraph:
-    """Inverse of blow_down: insert a vertex of weight +-1 with 0, 1 or 2
-    attachments, raising each attachment's weight by the new weight.  A
-    two-vertex attachment must be an existing edge, which the new vertex
-    splits (undoing the edge a valence-2 blow-down would create)."""
+    """Insert a vertex of weight +-1 with 0, 1 or 2 attachments, raising
+    each attachment's weight by the new weight: a blow-down's inverse, which
+    builds diagrams.  A two-vertex attachment must be an existing edge, which
+    the new vertex splits (undoing the edge a valence-2 blow-down makes)."""
     return apply_move(g, Move("blowup", (new_id, *attach), weight=weight))
-
-
-def cancel_zero_pair(g: PlumbingGraph, edge: tuple[str, str]) -> PlumbingGraph:
-    """Delete a whole two-vertex component one of whose weights is 0.  The
-    partner weight is irrelevant: the component's linking determinant is -1
-    regardless, so the summand it bounds is S^3."""
-    u, v = edge
-    return apply_move(g, Move("cancel", (u, v)))
-
-
-def absorb_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
-    """0-chain absorption: a weight-0 vertex of valence 2 goes away and its
-    neighbors u < w merge into u, of weight w_u + w_w, which takes over w's
-    other edges.  |det| is unchanged."""
-    return apply_move(g, Move("absorb", (v,)))
-
-
-def split_zero(g: PlumbingGraph, v: str) -> PlumbingGraph:
-    """Splitting: a weight-0 leaf and its neighbor both go away, and the
-    neighbor's other branches become separate components.  |det| is
-    unchanged: expanding along the leaf's row leaves +-det of the rest.
-    ``cancel_zero_pair`` is the case where the neighbor is a leaf too."""
-    return apply_move(g, Move("split", (v,)))
 
 
 def applicable_moves(g: PlumbingGraph) -> list[Move]:
@@ -269,6 +235,10 @@ class _Diagram:
         self._edit(v).add(u)
 
     def blowdown(self, v: str) -> None:
+        """Blow down a +-1 vertex of valence <= 2: it goes away, each
+        neighbor's weight drops by the blown weight, and two neighbors
+        become adjacent.  |det| is kept: the vertex spans a unimodular
+        summand whose complement is the new diagram, up to edge signs."""
         eps, nbrs = self.weight[v], tuple(self.adj[v])
         if eps not in (1, -1):
             raise MoveError(f"cannot blow down {v!r}: weight {eps} is not +-1")
@@ -307,6 +277,8 @@ class _Diagram:
             self._join(new_id, v)
 
     def cancel(self, u: str, v: str) -> None:
+        """Delete a two-vertex component with a weight 0, whatever the other
+        weight: its det is -1, so it bounds S^3; a split whose neighbor is a leaf."""
         if v not in self.adj[u]:
             raise MoveError(f"no edge ({u!r}, {v!r})")
         if len(self.adj[u]) != 1 or len(self.adj[v]) != 1:
@@ -319,6 +291,10 @@ class _Diagram:
         self._drop(v)
 
     def absorb(self, v: str) -> None:
+        """0-chain absorption: a weight-0 vertex of valence 2 goes away, and
+        its neighbors u < w merge into u, of weight w_u + w_w, with w's other
+        edges.  |det| is kept: v and u span a summand of det -1 whose
+        complement is the merged diagram, up to edge signs."""
         if self.weight[v] != 0:
             raise MoveError(f"cannot absorb {v!r}: weight {self.weight[v]} is not 0")
         if len(self.adj[v]) != 2:
@@ -331,6 +307,9 @@ class _Diagram:
         self._drop(w)
 
     def split(self, v: str) -> None:
+        """Splitting: a weight-0 leaf and its neighbor both go away, and the
+        neighbor's other branches become separate components.  |det| is
+        kept: expanding along the leaf's row leaves +-det of the rest."""
         if self.weight[v] != 0:
             raise MoveError(f"cannot split at {v!r}: weight {self.weight[v]} is not 0")
         if len(self.adj[v]) != 1:

@@ -9,6 +9,7 @@ Exit codes are fixed so shell scripts need no output parsing:
   2  usage or domain error (bad flags, unparsable file, invalid triple,
      unwritable trace file)
   3  cross-check failure (the two mu routes disagree)
+  141  stdout closed early, as by ``| head`` (what a shell reports for SIGPIPE)
 
 Reports go to stdout; the one file written is the ``reduce --trace`` file.
 Every command is deterministic: identical invocations produce byte-identical
@@ -393,9 +394,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except BrokenPipeError:  # the reader left: the rest goes to devnull, and no error line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a process SIGPIPE ended
     except MoveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

@@ -41,6 +41,68 @@ def random_forest(rng: random.Random, max_vertices: int = 10) -> PlumbingGraph:
     return PlumbingGraph.build(weights, edges)
 
 
+def random_s3_diagram(rng: random.Random, steps: int) -> PlumbingGraph:
+    """A diagram of S^3: the empty diagram after ``steps`` random inverse
+    moves, each one of
+
+    - a +-1 blow-up: isolated, at a vertex, or splitting an edge;
+    - an inverse 0-chain absorption: a vertex u becomes u - 0 - u', the two
+      weights sum to u's weight, and u's edges are shared out between them;
+    - an inverse split: a new vertex with a 0-leaf, joined to one vertex in
+      each of some components.
+
+    Every move keeps the manifold, so the reducer must certify each one."""
+    weight, adj = {}, {}
+
+    def add(w, *nbrs):
+        v = f"s{len(weight)}"  # no vertex is ever removed
+        weight[v], adj[v] = w, set(nbrs)
+        for n in nbrs:
+            adj[n].add(v)
+        return v
+
+    def edges():
+        return sorted((u, x) for u in adj for x in adj[u] if u < x)
+
+    for _ in range(steps):
+        kind = rng.randrange(5) if weight else 0
+        if kind < 3:  # a blow-up: isolated, at a vertex, or splitting an edge
+            if kind == 2 and any(adj.values()):
+                site = rng.choice(edges())
+            else:
+                site = (rng.choice(list(weight)),) if kind else ()
+            if len(site) == 2:
+                adj[site[0]].remove(site[1])
+                adj[site[1]].remove(site[0])
+            eps = rng.choice((-1, 1))
+            for v in site:
+                weight[v] += eps
+            add(eps, *site)
+        elif kind == 3:
+            u = rng.choice(list(weight))
+            moved = [n for n in sorted(adj[u]) if rng.random() < 0.5]
+            for n in moved:
+                adj[u].remove(n)
+                adj[n].remove(u)
+            a = rng.randint(-3, 3)
+            rest, weight[u] = weight[u] - a, a
+            add(rest, add(0, u), *moved)
+        else:
+            seen, joined = set(), []
+            for root in weight:  # one vertex of some components, each drawn at random
+                component, todo = [], [root]
+                while todo:
+                    x = todo.pop()
+                    if x not in seen:
+                        seen.add(x)
+                        component.append(x)
+                        todo.extend(adj[x])
+                if component and rng.random() < 0.5:
+                    joined.append(rng.choice(sorted(component)))
+            add(0, add(rng.randint(-3, 3), *joined))
+    return PlumbingGraph.build(weight, edges())
+
+
 def path_graph(*weights) -> PlumbingGraph:
     """The path p0 - p1 - ... with the given weights."""
     ids = [f"p{i}" for i in range(len(weights))]

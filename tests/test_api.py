@@ -15,21 +15,19 @@ MODULE_ALL = {
         "GraphFormatError", "HypothesisError", "LinkingMatrix", "Move", "MoveError",
         "MoveTrace", "ParityError", "PlumbcalcError", "PlumbingGraph",
         "ReductionVerdict", "ScanParams", "ScanRecord", "SeifertData", "SingularError",
-        "VERTEX_ID_RE", "Verdict", "__version__", "absorb_zero", "all_odd",
-        "all_odd_mu1_triples", "applicable_moves", "apply_move", "blow_down",
-        "blow_up", "blow_up_moves", "brieskorn_seifert", "brieskorn_signature_fast",
-        "cancel_zero_pair", "candidate_triple", "canonical_form", "determinant",
-        "format_graph", "format_trace", "linking_matrix",
-        "mu_bar", "neg_cont_frac", "parse_graph", "parse_trace", "reduce_to_s3",
-        "rohlin_from_signature", "rohlin_mu_bar", "scan_range", "signature",
-        "split_zero", "star_plumbing", "surgery_coefficient", "to_dot", "wu_class",
+        "VERTEX_ID_RE", "Verdict", "__version__", "all_odd", "all_odd_mu1_triples",
+        "applicable_moves", "apply_move", "blow_up", "blow_up_moves",
+        "brieskorn_seifert", "brieskorn_signature_fast", "candidate_triple",
+        "canonical_form", "determinant", "format_graph", "format_trace",
+        "linking_matrix", "mu_bar", "neg_cont_frac", "parse_graph", "parse_trace",
+        "reduce_to_s3", "rohlin_from_signature", "rohlin_mu_bar", "scan_range",
+        "signature", "star_plumbing", "surgery_coefficient", "to_dot", "wu_class",
     ],
     "plumbcalc.arith": ["neg_cont_frac"],
     "plumbcalc.calculus": [
         "DEFAULT_BUDGET", "Move", "MoveTrace", "ReductionVerdict", "Verdict",
-        "absorb_zero", "applicable_moves", "apply_move", "blow_down", "blow_up",
-        "blow_up_moves", "cancel_zero_pair", "canonical_form", "reduce_to_s3",
-        "split_zero",
+        "applicable_moves", "apply_move", "blow_up", "blow_up_moves",
+        "canonical_form", "reduce_to_s3",
     ],
     "plumbcalc.errors": [
         "DomainError", "GraphFormatError", "HypothesisError", "MoveError",
@@ -86,12 +84,10 @@ SIGNATURES = {
         "all_odd: 'bool | None', mu: 'int | None') -> None"
     ),
     "SeifertData": "(b: 'int', arms: 'tuple[tuple[int, int], ...]') -> None",
-    "absorb_zero": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
     "all_odd": "(t: 'BrieskornTriple') -> 'bool'",
     "all_odd_mu1_triples": "(records) -> 'list[BrieskornTriple]'",
     "applicable_moves": "(g: 'PlumbingGraph') -> 'list[Move]'",
     "apply_move": "(g: 'PlumbingGraph', move: 'Move') -> 'PlumbingGraph'",
-    "blow_down": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
     "blow_up": (
         "(g: 'PlumbingGraph', new_id: 'str', weight: 'int', "
         "attach: 'tuple[str, ...]' = ()) -> 'PlumbingGraph'"
@@ -99,7 +95,6 @@ SIGNATURES = {
     "blow_up_moves": "(g: 'PlumbingGraph') -> 'list[Move]'",
     "brieskorn_seifert": "(t: 'BrieskornTriple') -> 'SeifertData'",
     "brieskorn_signature_fast": "(t: 'BrieskornTriple') -> 'int'",
-    "cancel_zero_pair": "(g: 'PlumbingGraph', edge: 'tuple[str, str]') -> 'PlumbingGraph'",
     "candidate_triple": "(p: 'int', q: 'int', r: 'int', s: 'int') -> 'BrieskornTriple'",
     "canonical_form": "(g: 'PlumbingGraph') -> 'str'",
     "determinant": "(m) -> 'int'",
@@ -122,7 +117,6 @@ SIGNATURES = {
     "rohlin_mu_bar": "(g: 'PlumbingGraph') -> 'int'",
     "scan_range": "(params: 'ScanParams') -> 'list[ScanRecord]'",
     "signature": "(m) -> 'int'",
-    "split_zero": "(g: 'PlumbingGraph', v: 'str') -> 'PlumbingGraph'",
     "star_plumbing": "(s: 'SeifertData') -> 'PlumbingGraph'",
     "surgery_coefficient": "(p: 'int', q: 'int', r: 'int', s: 'int') -> 'int'",
     "to_dot": "(g: 'PlumbingGraph') -> 'str'",

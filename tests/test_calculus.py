@@ -13,6 +13,7 @@ from conftest import (
     path_graph,
     random_forest,
     random_relabeling,
+    random_s3_diagram,
     relabeled,
 )
 from plumbcalc import (
@@ -23,20 +24,16 @@ from plumbcalc import (
     MoveError,
     PlumbingGraph,
     Verdict,
-    absorb_zero,
     applicable_moves,
     apply_move,
-    blow_down,
     blow_up,
     brieskorn_seifert,
-    cancel_zero_pair,
     canonical_form,
     determinant,
     format_trace,
     linking_matrix,
     parse_trace,
     reduce_to_s3,
-    split_zero,
     star_plumbing,
 )
 from plumbcalc.calculus import _Diagram, _greedy_pass, _search, blow_up_moves
@@ -47,28 +44,28 @@ from plumbcalc.calculus import _Diagram, _greedy_pass, _search, blow_up_moves
 
 def test_blow_down_chain_middle():
     g = path_graph(-2, -1, -2)
-    h = blow_down(g, "p1")
+    h = apply_move(g, Move("blowdown", ("p1",)))
     assert dict(h.vertices) == {"p0": -1, "p2": -1}
     assert h.edges == (("p0", "p2"),)
 
 
 def test_blow_down_leaf_and_isolated():
     g = path_graph(-1, -5)
-    h = blow_down(g, "p0")
+    h = apply_move(g, Move("blowdown", ("p0",)))
     assert dict(h.vertices) == {"p1": -4}
     lone = PlumbingGraph.build({"x": -1})
-    assert blow_down(lone, "x").is_empty
+    assert apply_move(lone, Move("blowdown", ("x",))).is_empty
 
 
 def test_blow_down_positive_weight():
     g = path_graph(3, 1, 4)
-    h = blow_down(g, "p1")
+    h = apply_move(g, Move("blowdown", ("p1",)))
     assert dict(h.vertices) == {"p0": 2, "p2": 3}
     assert h.edges == (("p0", "p2"),)
 
 
 def test_blow_down_first_step_on_d3(fixtures):
-    h = blow_down(fixtures["d3"], "c")
+    h = apply_move(fixtures["d3"], Move("blowdown", ("c",)))
     assert h.weight("b") == -5
     assert h.weight("d") == -1
     assert h.has_edge("b", "d")
@@ -77,25 +74,25 @@ def test_blow_down_first_step_on_d3(fixtures):
 
 def test_blow_down_errors(fixtures):
     with pytest.raises(MoveError):
-        blow_down(path_graph(-2, -2), "p0")  # wrong weight
+        apply_move(path_graph(-2, -2), Move("blowdown", ("p0",)))  # wrong weight
     with pytest.raises(MoveError):
-        blow_down(fixtures["d2"], "c")  # valence 3
+        apply_move(fixtures["d2"], Move("blowdown", ("c",)))  # valence 3
 
 
 def test_cancel_zero_pair():
     g = PlumbingGraph.build({"a": -2, "b": 0}, [("a", "b")])
-    assert cancel_zero_pair(g, ("a", "b")).is_empty
+    assert apply_move(g, Move("cancel", ("a", "b"))).is_empty
     g = PlumbingGraph.build({"a": 7, "b": 0}, [("a", "b")])
-    assert cancel_zero_pair(g, ("b", "a")).is_empty  # weight-agnostic partner
+    assert apply_move(g, Move("cancel", ("b", "a"))).is_empty  # weight-agnostic partner
 
 
 def test_cancel_zero_pair_errors():
     g = PlumbingGraph.build({"a": -2, "b": -1}, [("a", "b")])
     with pytest.raises(MoveError):
-        cancel_zero_pair(g, ("a", "b"))  # no 0-weight endpoint
+        apply_move(g, Move("cancel", ("a", "b")))  # no 0-weight endpoint
     g = path_graph(-2, 0, -3)
     with pytest.raises(MoveError):
-        cancel_zero_pair(g, ("p0", "p1"))  # not a whole component
+        apply_move(g, Move("cancel", ("p0", "p1")))  # not a whole component
 
 
 def test_cancel_only_on_whole_component_not_sub_edge():
@@ -110,13 +107,13 @@ def test_absorb_zero():
         {"a": -2, "u": 3, "x": 0, "w": -5, "b": -3, "c": -4},
         [("a", "u"), ("u", "x"), ("x", "w"), ("w", "b"), ("w", "c")],
     )
-    h = absorb_zero(g, "x")
+    h = apply_move(g, Move("absorb", ("x",)))
     assert dict(h.vertices) == {"a": -2, "u": -2, "b": -3, "c": -4}
     assert h.edges == (("a", "u"), ("b", "u"), ("c", "u"))
     with pytest.raises(MoveError):
-        absorb_zero(g, "u")  # weight 3
+        apply_move(g, Move("absorb", ("u",)))  # weight 3
     with pytest.raises(MoveError):
-        absorb_zero(path_graph(0, -2), "p0")  # a leaf: split it instead
+        apply_move(path_graph(0, -2), Move("absorb", ("p0",)))  # a leaf: split it instead
 
 
 def test_split_zero():
@@ -124,14 +121,15 @@ def test_split_zero():
         {"x": 0, "v": 7, "a": -2, "b": -3, "c": -4},
         [("x", "v"), ("v", "a"), ("v", "b"), ("b", "c")],
     )
-    h = split_zero(g, "x")
+    h = apply_move(g, Move("split", ("x",)))
     assert dict(h.vertices) == {"a": -2, "b": -3, "c": -4}
     assert h.edges == (("b", "c"),)
-    assert split_zero(path_graph(0, 5), "p0").is_empty  # a whole pair, as cancel
+    pair = path_graph(0, 5)
+    assert apply_move(pair, Move("split", ("p0",))).is_empty  # a whole pair, as cancel
     with pytest.raises(MoveError):
-        split_zero(g, "a")  # weight -2
+        apply_move(g, Move("split", ("a",)))  # weight -2
     with pytest.raises(MoveError):
-        split_zero(path_graph(-2, 0, -2), "p1")  # valence 2: absorb it instead
+        apply_move(path_graph(-2, 0, -2), Move("split", ("p1",)))  # valence 2: absorb it
 
 
 def test_applicable_moves_order():
@@ -151,7 +149,7 @@ def test_applicable_moves_order():
 def test_apply_move_checks_recorded_weights():
     g = path_graph(-2, -1, -2)
     move = applicable_moves(g)[0]
-    h = blow_down(g, "p1")
+    h = apply_move(g, Move("blowdown", ("p1",)))
     with pytest.raises(MoveError):
         apply_move(h, move)  # recorded against g, not h
 
@@ -182,14 +180,14 @@ def test_malformed_moves_raise_move_error(move, fragment):
 
 def test_public_moves_report_a_missing_vertex_as_a_move_error():
     g = PlumbingGraph.build({"a": 0, "b": -1}, [("a", "b")])
-    for call, move in [
-        (lambda: blow_down(g, "zz"), "blowdown zz"),
-        (lambda: absorb_zero(g, "zz"), "absorb zz"),
-        (lambda: split_zero(g, "zz"), "split zz"),
-        (lambda: cancel_zero_pair(g, ("a", "zz")), "cancel a zz"),
+    for move in [
+        Move("blowdown", ("zz",)),
+        Move("absorb", ("zz",)),
+        Move("split", ("zz",)),
+        Move("cancel", ("a", "zz")),
     ]:
         with pytest.raises(MoveError, match=f"^cannot apply {move}: no vertex 'zz'$"):
-            call()
+            apply_move(g, move)
     with pytest.raises(MoveError, match="^malformed move: blowup with 4 vertex id"):
         blow_up(g, "z", -1, ("a", "b", "c"))
 
@@ -571,6 +569,19 @@ def test_pass_reduces_whatever_the_search_reduces():
     assert found > 2500
 
 
+def test_reducer_certifies_every_generated_s3_diagram():
+    # the soundness corpus: diagrams built from the empty one by inverse moves
+    kinds = Counter()
+    for seed in (5, 11):
+        rng = random.Random(seed)
+        for _ in range(400):
+            g = random_s3_diagram(rng, rng.randint(1, 40))
+            verdict, trace = reduce_to_s3(g)
+            assert verdict.status is Verdict.S3 and trace.end.is_empty, g
+            kinds.update(move.kind for move in trace.moves)
+    assert {"blowdown", "absorb", "split", "cancel"} <= set(kinds)
+
+
 def test_pass_chain_rewrites_reversed_poincare_star_to_e8(fixtures):
     # -Sigma(2,3,5): center 1, leaves 2, 3, 5.  Each leaf of weight e
     # becomes e - 1 vertices of weight -2 and lowers the center by 1.
@@ -660,7 +671,7 @@ def test_blow_up_inverts_blow_down():
                 continue
             u, w = g.edges[rng.randrange(len(g.edges))]
             h = blow_up(g, "new", eps, (u, w))
-        assert blow_down(h, "new") == g
+        assert apply_move(h, Move("blowdown", ("new",))) == g
         assert abs(determinant(linking_matrix(h))) == abs(
             determinant(linking_matrix(g))
         )

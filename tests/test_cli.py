@@ -303,15 +303,15 @@ def test_directory_argument_exits_2(capsys, tmp_path, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def run_process(*argv, input=None, **env):
-    """The CLI as a fresh process, with src on PYTHONPATH, env added and
-    input, if given, on its stdin."""
+def run_process(*argv, input=None, stdout=subprocess.PIPE, **env):
+    """The CLI as a fresh process, with src on PYTHONPATH, env added,
+    input, if given, on its stdin and stdout, if given, as its stdout."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "plumbcalc.cli", *argv],
-        input=input, capture_output=True, text=True, env=env, timeout=60,
+        input=input, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -345,6 +345,19 @@ def test_replay_trace_reads_a_pipe():
     proc = run_process("replay-trace", "/dev/stdin", input=text)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "replay ok: 7 moves, end graph has 0 vertices\n"
+
+
+@pytest.mark.parametrize("argv", [["fixtures", "d2"], ["scan", "--format", "records"]])
+def test_closed_stdout_exits_141_and_prints_nothing(argv):
+    # the reader is gone before the child writes, so its first write fails:
+    # a reader that stops early, like `| head -1`, is not a usage error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("command", ["invariants", "reduce", "export-dot", "replay-trace"])

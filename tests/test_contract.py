@@ -38,6 +38,7 @@ from plumbcalc.cli import main
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
 
 CASES = 400
+S3_FIXTURES = ("d3", "d4")  # the fixtures that reduce_to_s3 takes to S3
 SMALL = 10**4
 DATA = Path(__file__).parent / "data"
 
@@ -168,11 +169,12 @@ class _Argv:
             den = rng.randint(1, SMALL)
             self.valid = dict(zip(("a1", "a2", "a3"), rng.choice(self.triples)))
             self.valid.update(num=-rng.randint(den + 1, 10**40), den=den)
-        argv = [command]
-        for arg in CLI[command]:
-            if rng.random() < 0.05:
-                continue  # a missing argument is a usage error
-            argv += self.fill(command, arg)
+        # a missing argument is a usage error
+        parts = {arg: self.fill(command, arg) for arg in CLI[command] if rng.random() >= 0.05}
+        if "graph" in parts and parts.get("--trace") and rng.random() < 0.5:
+            # reduce writes its trace only on S3, so give it a graph that gets S3
+            parts["graph"] = [rng.choice(S3_FIXTURES)]
+        argv = [command, *(token for tokens in parts.values() for token in tokens)]
         if rng.random() < 0.05:
             argv.insert(rng.randrange(1, len(argv) + 1), _int_token(rng))
         return argv
@@ -181,8 +183,12 @@ class _Argv:
 def test_exit_code_contract(capsys, tmp_path):
     gen = _Argv(random.Random(8128), tmp_path)
     codes = []
+    nul_trace_writes = 0
     for _ in range(CASES):
         argv = gen.argv()
+        if (len(argv) == 4 and argv[0] == "reduce" and argv[1] in S3_FIXTURES
+                and argv[2] == "--trace" and "\0" in argv[3]):
+            nul_trace_writes += 1
         try:
             code = main(argv)
         except Exception as exc:  # a traceback at the shell
@@ -195,3 +201,5 @@ def test_exit_code_contract(capsys, tmp_path):
         codes.append(code)
     # the generator reaches both sides of the contract
     assert codes.count(0) >= CASES // 10 and codes.count(2) >= CASES // 10
+    # and the trace write of an S3 verdict, with a path no file can have
+    assert nul_trace_writes >= 1, nul_trace_writes
