@@ -141,13 +141,13 @@ def _replay(start: PlumbingGraph, moves) -> PlumbingGraph:
 
 
 class _Diagram:
-    """A mutable copy of a graph's weights and adjacency, and the one place
-    where each move's preconditions are checked and its edits made.
-    When its preconditions hold a move keeps the diagram a simple forest:
-    a valence-2 blow-down joins two vertices that are in separate trees
-    once the blown vertex is gone, an absorption merges two trees, and a
-    two-point blow-up splits an existing edge.  So only the graph that
-    ``graph`` builds at the end needs validating.
+    """A mutable copy of a graph's weights and adjacency.  ``apply`` checks
+    what every move must satisfy; each move's method checks only its own
+    preconditions, then edits.  When they hold a move keeps the diagram a
+    simple forest: a valence-2 blow-down joins two vertices that are in
+    separate trees once the blown vertex is gone, an absorption merges two
+    trees, and a two-point blow-up splits an existing edge.  So only the
+    graph that ``graph`` builds at the end needs validating.
 
     ``copy`` gives an independent diagram to edit, so the search can keep
     each state it queues.  ``moves`` and ``blow_ups`` list the search's
@@ -196,28 +196,30 @@ class _Diagram:
         ]
 
     def apply(self, move: Move) -> None:
-        if move.kind not in _MOVE_ARITY:
-            raise MoveError(f"unknown move kind {move.kind!r}")
-        low, high = _MOVE_ARITY[move.kind]
-        if not low <= len(move.ids) <= high:
-            raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
-        if move.kind != "blowup":  # blowup checks its attachments itself
-            for v in move.ids:
-                if v not in self.weight:
-                    raise MoveError(f"cannot apply {move}: no vertex {v!r}")
-        if move.pre is not None:
-            for v, w in move.pre:
-                if v not in self.weight or self.weight[v] != w:
-                    raise MoveError(
-                        f"move {move} was recorded against a different graph "
-                        f"(vertex {v!r} weight mismatch)"
-                    )
-        if move.kind != "blowup":
-            getattr(self, move.kind)(*move.ids)
-        elif move.weight is None:
-            raise MoveError("blow-up move carries no weight")
-        else:
-            self.blowup(move.weight, *move.ids)
+        """Check a known kind, an id count within ``_MOVE_ARITY``, a +-1 int
+        weight on a blow-up and none on other kinds, every vertex named but a
+        blow-up's new id and any ``pre`` weights, in order; then make the move."""
+        kind, ids, weight = move.kind, move.ids, move.weight
+        if kind not in _MOVE_ARITY:
+            raise MoveError(f"unknown move kind {kind!r}")
+        low, high = _MOVE_ARITY[kind]
+        if not low <= len(ids) <= high:
+            raise MoveError(f"malformed move: {kind} with {len(ids)} vertex id(s)")
+        if kind == "blowup":
+            if type(weight) is not int or weight not in (1, -1):
+                raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
+        elif weight is not None:
+            raise MoveError(f"a {kind} move takes no weight, got {weight!r}")
+        for v in ids[1:] if kind == "blowup" else ids:
+            if v not in self.weight:
+                raise MoveError(f"cannot apply {move}: no vertex {v!r}")
+        for v, w in move.pre or ():
+            if v not in self.weight or self.weight[v] != w:
+                raise MoveError(
+                    f"move {move} was recorded against a different graph "
+                    f"(vertex {v!r} weight mismatch)"
+                )
+        getattr(self, kind)(*((weight, *ids) if kind == "blowup" else ids))
 
     def _edit(self, v: str) -> set[str]:
         ns = self.adj[v]
@@ -251,15 +253,10 @@ class _Diagram:
             self._join(*nbrs)
 
     def blowup(self, weight: int, new_id: str, *attach: str) -> None:
-        if type(weight) is not int or weight not in (1, -1):
-            raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
         if new_id in self.weight:
             raise MoveError(f"vertex id {new_id!r} already in use")
         if len(set(attach)) != len(attach):
             raise MoveError("blow-up attaches to at most 2 distinct vertices")
-        for v in attach:
-            if v not in self.weight:
-                raise MoveError(f"cannot attach to missing vertex {v!r}")
         edge = attach if len(attach) == 2 else ()
         if edge and edge[1] not in self.adj[edge[0]]:
             raise MoveError(
@@ -287,8 +284,7 @@ class _Diagram:
             )
         if self.weight[u] != 0 and self.weight[v] != 0:
             raise MoveError(f"cannot cancel ({u!r}, {v!r}): neither endpoint has weight 0")
-        self._drop(u)
-        self._drop(v)
+        self.split(u if self.weight[u] == 0 else v)
 
     def absorb(self, v: str) -> None:
         """0-chain absorption: a weight-0 vertex of valence 2 goes away, and

@@ -163,7 +163,7 @@ def cmd_mu(args) -> int:
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     verdict, trace = reduce_to_s3(g)
-    if verdict.status is Verdict.S3 and args.trace:
+    if verdict.status is Verdict.S3 and args.trace is not None:
         # UTF-8, as _read_text reads it; a path byte the locale could not
         # decode is escaped in the comment instead of failing the write
         text = format_trace(trace, comments=[f"reduction of {args.graph} to the empty diagram"])

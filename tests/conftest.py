@@ -19,8 +19,10 @@ from plumbcalc import (
     Verdict,
     apply_move,
     canonical_form,
+    mu_bar,
 )
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
+from plumbcalc.lattice import _graph_walk
 
 # Weight pool biased toward the values the calculus cares about (+-1, 0, -2).
 _WEIGHT_POOL = (-7, -4, -3, -2, -2, -2, -1, -1, 0, 0, 1, 2)
@@ -212,16 +214,11 @@ def oracle_blow_down(g, v):
 
 
 def oracle_blow_up(g, new_id, weight, attach=()):
-    if type(weight) is not int or weight not in (1, -1):
-        raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
     if new_id in g._weight_map:
         raise MoveError(f"vertex id {new_id!r} already in use")
     attach = tuple(attach)
     if len(attach) > 2 or len(set(attach)) != len(attach):
         raise MoveError("blow-up attaches to at most 2 distinct vertices")
-    for v in attach:
-        if v not in g._weight_map:
-            raise MoveError(f"cannot attach to missing vertex {v!r}")
     weights = dict(g.vertices)
     for v in attach:
         weights[v] += weight
@@ -282,17 +279,19 @@ def oracle_apply_move(g, move):
     low, high = arity[move.kind]
     if not low <= len(move.ids) <= high:
         raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
-    if move.kind != "blowup":
-        for v in move.ids:
-            if v not in g._weight_map:
-                raise MoveError(f"cannot apply {move}: no vertex {v!r}")
+    if move.kind == "blowup":
+        if type(move.weight) is not int or move.weight not in (1, -1):
+            raise MoveError(f"blow-up weight must be +-1, got {move.weight!r}")
+    elif move.weight is not None:
+        raise MoveError(f"a {move.kind} move takes no weight, got {move.weight!r}")
+    for v in move.ids[1:] if move.kind == "blowup" else move.ids:
+        if v not in g._weight_map:
+            raise MoveError(f"cannot apply {move}: no vertex {v!r}")
     for v, w in move.pre or ():
         if v not in g._weight_map or g.weight(v) != w:
             raise MoveError(f"move {move} was recorded against a different graph "
                             f"(vertex {v!r} weight mismatch)")
     if move.kind == "blowup":
-        if move.weight is None:
-            raise MoveError("blow-up move carries no weight")
         return oracle_blow_up(g, move.ids[0], move.weight, move.ids[1:])
     if move.kind == "cancel":
         return oracle_cancel_zero_pair(g, move.ids)
@@ -389,6 +388,62 @@ def oracle_search(g, budget, blow_up_depth):
             parents[skey] = (key, move)
             queue.append((successor, skey))
     return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=budget_hit), None
+
+
+# -- the NOT-S3 routes: theorems that rule S^3 out for a diagram of |det| = 1 ----
+
+
+def _branch(g, node, start):
+    """The vertices of g - node reachable from its neighbor start."""
+    seen, todo = {node, start}, [start]
+    while todo:
+        for n in g.neighbors(todo.pop()):
+            if n not in seen:
+                seen.add(n)
+                todo.append(n)
+    return seen - {node}
+
+
+def mu_bar_route(g) -> bool:
+    """mu-bar is an invariant of the plumbed homology sphere, and 0 on S^3
+    (W. Neumann, LNM 788, 1980)."""
+    return mu_bar(g) != 0
+
+
+def minimal_definite_route(g) -> bool:
+    """Some component is negative definite with no +-1 vertex of valence
+    <= 2: a minimal good resolution graph (Grauert 1962), which is not
+    empty, so its link is not S^3 (Mumford, Publ. Math. IHES 9, 1961)."""
+    for component in g.components():
+        if all(g.weight(v) not in (1, -1) or g.valence(v) > 2 for v in component):
+            if _graph_walk(_rebuilt(g, drop=set(g.ids) - component))[0] == -len(component):
+                return True
+    return False
+
+
+def three_branch_node_route(g) -> bool:
+    """Some node has three branches of |det| >= 2, each determinant from one
+    ``_graph_walk``: a Seifert piece with three exceptional fibers
+    (Eisenbud-Neumann, Ann. Math. Studies 110, 1985; Neumann-Wahl, Geom.
+    Topol. 9, 2005)."""
+    for v in g.ids:
+        spare = g.valence(v) - 3  # branches of |det| < 2 that v can still afford
+        for n in g.neighbors(v):
+            if spare < 0:
+                break
+            spare -= abs(_graph_walk(_rebuilt(g, drop=set(g.ids) - _branch(g, v, n)))[1]) < 2
+        if spare >= 0:
+            return True
+    return False
+
+
+NOT_S3_ROUTES = (mu_bar_route, minimal_definite_route, three_branch_node_route)
+
+
+def not_s3_routes(g) -> list[str]:
+    """The names of the routes that prove the diagram g, of |det| = 1, is
+    not S^3; empty when none does."""
+    return [route.__name__ for route in NOT_S3_ROUTES if route(g)]
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,16 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    not_s3_routes,
     oracle_applicable_moves,
     oracle_apply_move,
     oracle_blow_up_moves,
@@ -165,11 +170,12 @@ def test_apply_move_checks_recorded_weights():
         (Move("cancel", ("a", "b", "c")), "malformed move: cancel with 3"),
         (Move("blowup", (), weight=-1), "malformed move: blowup with 0"),
         (Move("blowup", ("z", "a", "b", "c"), weight=-1), "malformed move: blowup with 4"),
-        (Move("blowup", ("z", "a")), "carries no weight"),
+        (Move("blowup", ("z", "a")), "weight must be"),
         (Move("blowup", ("z", "a"), weight=-1.0), "weight must be"),
         (Move("blowup", ("z", "a"), weight=True), "weight must be"),
         (Move("twist", ("a",)), "unknown move kind 'twist'"),
         (Move("blowup", ("a$", "p0"), weight=-1), "bad vertex id 'a\\$'"),
+        (Move("blowdown", ("p1",), weight=5), "a blowdown move takes no weight, got 5"),
     ],
 )
 def test_malformed_moves_raise_move_error(move, fragment):
@@ -185,6 +191,7 @@ def test_public_moves_report_a_missing_vertex_as_a_move_error():
         Move("absorb", ("zz",)),
         Move("split", ("zz",)),
         Move("cancel", ("a", "zz")),
+        Move("blowup", ("z", "a", "zz"), weight=-1),
     ]:
         with pytest.raises(MoveError, match=f"^cannot apply {move}: no vertex 'zz'$"):
             apply_move(g, move)
@@ -448,6 +455,33 @@ def test_reduce_is_deterministic(fixtures):
     assert a == b
 
 
+TRACE_DIGEST = """
+import hashlib, random
+from conftest import random_s3_diagram
+from plumbcalc import format_trace, reduce_to_s3
+rng, digest = random.Random(5), hashlib.sha256()
+for _ in range(400):
+    trace = reduce_to_s3(random_s3_diagram(rng, rng.randint(1, 40)))[1]
+    digest.update(format_trace(trace).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_traces_do_not_depend_on_the_hash_seed():
+    # _Diagram edits set adjacency, and each CLI invocation hashes strings
+    # with its own seed; identical invocations must still write the same trace
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    runs = [
+        subprocess.Popen([sys.executable, "-c", TRACE_DIGEST], stdout=subprocess.PIPE,
+                         env={**env, "PYTHONHASHSEED": seed}, text=True)
+        for seed in ("0", "1")
+    ]
+    digests = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 # -- randomized move invariants ---------------------------------------------------
 
 
@@ -547,7 +581,7 @@ def test_moves_preserve_det_and_forest():
 
 def test_pass_reduces_whatever_the_search_reduces():
     rng = random.Random(8128)
-    spheres = found = 0
+    spheres = found = stuck = 0
     while spheres < 3000:
         g = random_forest(rng, max_vertices=8)
         if abs(determinant(linking_matrix(g))) != 1:
@@ -562,11 +596,17 @@ def test_pass_reduces_whatever_the_search_reduces():
         assert ours == trace.end
         end = trace.end  # no move applies: chain weights are all <= -2
         assert all(w <= -2 for v, w in end.vertices if end.valence(v) <= 2)
+        # a NOT-S3 route fires on every end the pass leaves, and on no S^3 it empties
+        if end.is_empty:
+            assert not not_s3_routes(g), g
+        else:
+            stuck += 1
+            assert not_s3_routes(end), g
         verdict, _ = _search(g, 5000, 0)
         if verdict.status is Verdict.S3:
             found += 1
             assert trace.end.is_empty, g
-    assert found > 2500
+    assert found > 2500 and stuck > 0
 
 
 def test_reducer_certifies_every_generated_s3_diagram():
@@ -578,6 +618,7 @@ def test_reducer_certifies_every_generated_s3_diagram():
             g = random_s3_diagram(rng, rng.randint(1, 40))
             verdict, trace = reduce_to_s3(g)
             assert verdict.status is Verdict.S3 and trace.end.is_empty, g
+            assert not not_s3_routes(g), g
             kinds.update(move.kind for move in trace.moves)
     assert {"blowdown", "absorb", "split", "cancel"} <= set(kinds)
 
@@ -628,6 +669,7 @@ def test_pass_on_blown_up_spheres_and_brieskorn_stars(fixtures):
         g = random_blow_ups(rng, PlumbingGraph.build({}), rng.randint(5, 40))
         verdict, trace = reduce_to_s3(g)
         assert verdict.status is Verdict.S3 and trace.end.is_empty
+        assert not not_s3_routes(g), g
     stars = [fixtures["e8"], fixtures["sigma-3-13-23"]]
     stars += [star_plumbing(brieskorn_seifert(BrieskornTriple(*t)))
               for t in ((2, 3, 7), (2, 5, 7), (3, 4, 5), (5, 9, 13))]
@@ -636,7 +678,7 @@ def test_pass_on_blown_up_spheres_and_brieskorn_stars(fixtures):
             g = random_blow_ups(rng, star, rng.randint(0, 12))
             trace = _greedy_pass(g, DEFAULT_BUDGET)
             assert trace.replay() == trace.end
-            assert not trace.end.is_empty
+            assert not trace.end.is_empty and not_s3_routes(trace.end), g
         assert reduce_to_s3(star, budget=200)[0].status is Verdict.UNKNOWN
 
 

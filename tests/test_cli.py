@@ -264,7 +264,7 @@ INVALID_MOVES = [
     ("absorb zz", "no vertex 'zz'"),
     ("split zz", "no vertex 'zz'"),
     ("cancel a zz", "no vertex 'zz'"),
-    ("blowup -1 zz qq", "missing vertex 'qq'"),
+    ("blowup -1 zz qq", "no vertex 'qq'"),
 ]
 
 
@@ -723,8 +723,9 @@ def test_trace_files_end_with_canonical_d4_state(capsys, tmp_path):
         ["reduce", "d3", "--trace", "{missing}/t"],
         ["reduce", "d3", "--trace", "{dir}"],
         ["reduce", "d3", "--trace", "{dir}/t\0"],  # only main() can get a NUL
+        ["reduce", "d3", "--trace", ""],  # a path no file can have, not "no trace"
     ],
-    ids=["reduce", "reduce-onto-directory", "reduce-to-nul-path"],
+    ids=["reduce", "reduce-onto-directory", "reduce-to-nul-path", "reduce-to-empty-path"],
 )
 def test_unwritable_output_file_exits_2(capsys, tmp_path, argv):
     # the trace is the one file the CLI writes

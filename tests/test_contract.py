@@ -1,9 +1,10 @@
 """The CLI's exit-code contract under seeded random input.
 
 Every invocation ends with exit code 0, 1, 2 or 3, never with an exception
-escaping ``cli.main`` (a traceback at the shell), and a usage or domain
-error (exit 2) prints nothing to stdout.  The cases are drawn from one
-seeded generator:
+escaping ``cli.main`` (a traceback at the shell); a usage or domain error
+(exit 2) prints nothing to stdout; and a ``reduce ... --trace P`` that
+exits 0 leaves at P a trace that ``replay-trace`` takes to the empty
+diagram.  The cases are drawn from one seeded generator:
 
 - argv follows the subcommand table that ``tests/test_api.py`` pins, with
   each argument filled from a pool of tokens: small, huge, negative and
@@ -13,7 +14,7 @@ seeded generator:
 - graph and trace arguments name generated files, mutated line by line
   (lines dropped, duplicated, swapped or cut, a token replaced, bad bytes
   inserted), or fixtures, missing paths, paths holding a NUL byte and a
-  directory.
+  directory; ``reduce --trace`` may also get the empty path.
 
 Known gaps, inputs whose cost grows with a value rather than its digits, so
 the generator keeps that value small:
@@ -26,6 +27,7 @@ the generator keeps that value small:
   denominator stays <= 10^4.
 """
 
+import os
 import random
 from pathlib import Path
 
@@ -149,7 +151,7 @@ class _Argv:
             return rng.choice([[], [rng.choice(FIXTURE_NAMES)], [_int_token(rng)]])
         if arg == "--trace":
             target = rng.choice([self.tmp / "out.trace", self.tmp, self.tmp / "missing" / "t",
-                                 self.tmp / "nul\0t"])
+                                 self.tmp / "nul\0t", ""])
             return rng.choice([[], ["--trace", str(target)]])
         if arg in ("--p-bound", "--q-bound"):
             return rng.choice([[], [arg, _int_token(rng, SMALL)]])
@@ -180,15 +182,26 @@ class _Argv:
         return argv
 
 
+def _trace_target(argv: list[str]) -> str | None:
+    """The path ``reduce`` writes its trace to, or None when it writes none."""
+    if argv[0] != "reduce" or "--trace" not in argv[:-1]:
+        return None
+    return argv[argv.index("--trace") + 1]
+
+
 def test_exit_code_contract(capsys, tmp_path):
     gen = _Argv(random.Random(8128), tmp_path)
     codes = []
-    nul_trace_writes = 0
+    nul_trace_writes = empty_trace_writes = 0
     for _ in range(CASES):
         argv = gen.argv()
         if (len(argv) == 4 and argv[0] == "reduce" and argv[1] in S3_FIXTURES
-                and argv[2] == "--trace" and "\0" in argv[3]):
-            nul_trace_writes += 1
+                and argv[2] == "--trace"):
+            nul_trace_writes += "\0" in argv[3]
+            empty_trace_writes += argv[3] == ""
+        target = _trace_target(argv)
+        if target is not None and os.path.isfile(target):
+            os.remove(target)  # so only this case can have written it
         try:
             code = main(argv)
         except Exception as exc:  # a traceback at the shell
@@ -198,8 +211,15 @@ def test_exit_code_contract(capsys, tmp_path):
         assert "Traceback" not in err, argv
         if code == 2:
             assert out == "", argv
+        if code == 0 and target is not None:  # an S3 verdict: its trace is at target
+            assert os.path.isfile(target), argv
+            assert main(["replay-trace", target]) == 0, argv
+            replay = capsys.readouterr().out
+            assert replay.startswith("replay ok: "), argv
+            assert replay.endswith(" moves, end graph has 0 vertices\n"), argv
         codes.append(code)
     # the generator reaches both sides of the contract
     assert codes.count(0) >= CASES // 10 and codes.count(2) >= CASES // 10
     # and the trace write of an S3 verdict, with a path no file can have
     assert nul_trace_writes >= 1, nul_trace_writes
+    assert empty_trace_writes >= 1, empty_trace_writes
