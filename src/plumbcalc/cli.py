@@ -9,6 +9,7 @@ Exit codes are fixed so shell scripts need no output parsing:
   2  usage or domain error (bad flags, unparsable file, invalid triple,
      unwritable trace file)
   3  cross-check failure (the two mu routes disagree)
+  70  internal error (a bug): one ``internal error:`` line, no traceback
   141  stdout closed early, as by ``| head`` (what a shell reports for SIGPIPE)
 
 Reports go to stdout; the one file written is the ``reduce --trace`` file.
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 # Evidence for the +-1-surgery criterion when no scan witness exists: these
 # diagrams realize "the sphere plus one added handle is S^3", which exhibits
@@ -408,6 +410,9 @@ def main(argv=None) -> int:
     except (PlumbcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)

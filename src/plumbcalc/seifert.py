@@ -13,16 +13,14 @@ continued fraction chain of -alpha_i/beta_i, attached to the center at the
 chain's first term.  The orientation convention is fixed once and for all;
 the Rohlin invariant mod 2 does not depend on it.
 
-The signature of the Milnor fiber that the program uses is eight times
-the Casson invariant, from the Fukuhara-Matsumoto-Sakamoto / Neumann-Wahl
-formula in Dedekind sums (``_casson_signature``); reciprocity evaluates each
-Dedekind sum in O(log a) steps.  Its oracle is a lattice-point count:
-over 1 <= i < a1, 1 <= j < a2, 1 <= k < a3, reduce
-s = i/a1 + j/a2 + k/a3 into (0, 2) mod 2; points with s in (0, 1) count +1,
-points with s in (1, 2) count -1 (s is never an integer by coprimality).
-``brieskorn_signature_fast`` counts these points per (i, j) pair with exact
-integer window arithmetic, O(a1*a2); it is the one count left here.  The
-tests hold it and the formula equal to the direct O(a1*a2*a3) triple loop.
+The signature of the Milnor fiber is eight times the Casson invariant, from
+the Fukuhara-Matsumoto-Sakamoto / Neumann-Wahl formula in Dedekind sums
+(``brieskorn_signature_fast``).  Each Dedekind sum is evaluated in integers
+from one continued-fraction pass, O(log a) steps.  Its oracles, in the
+tests, are lattice-point counts: over 1 <= i < a1, 1 <= j < a2,
+1 <= k < a3, reduce s = i/a1 + j/a2 + k/a3 into (0, 2) mod 2; points with
+s in (0, 1) count +1, points with s in (1, 2) count -1 (s is never an
+integer by coprimality).
 
 For an all-odd triple the Milnor fiber is spin and sigma/8 mod 2 is the
 Rohlin invariant; this is one of the two independent routes to mu (the
@@ -150,62 +148,43 @@ def star_plumbing(s: SeifertData) -> PlumbingGraph:
     return PlumbingGraph.build(weights, edges)
 
 
-def brieskorn_signature_fast(t: BrieskornTriple) -> int:
-    """Milnor-fiber signature as the lattice-point count, in O(a1*a2): for
-    each (i, j) the +1 points are the integers k in (0, a3*(m-u)/m) or
-    (a3*(2m-u)/m, a3) with m = a1*a2 and u = i*a2 + j*a1; the window
-    endpoints are never integers, so exact floor counts suffice."""
-    a1, a2, a3 = t.indices
-    m = a1 * a2
-    total = (a1 - 1) * (a2 - 1) * (a3 - 1)
-    pos = 0
-    for i in range(1, a1):
-        base = i * a2
-        for j in range(1, a2):
-            u = base + j * a1  # s = u/m + k/a3 with u/m in (0, 2)
-            # k in [1, a3-1] with s in (0, 1): k < a3*(m-u)/m
-            hi = (a3 * (m - u) - 1) // m
-            if hi > 0:
-                pos += min(hi, a3 - 1)
-            # k in [1, a3-1] with s in (2, 3): k > a3*(2m-u)/m
-            lo = a3 * (2 * m - u) // m + 1
-            if lo <= a3 - 1:
-                pos += a3 - lo
-    return 2 * pos - total
+def _dedekind12(h: int, k: int) -> int:
+    """12k * s(h, k), an integer, for coprime h and k >= 1, where s is the
+    Dedekind sum.  With h mod k = [0; a1, ..., at] and h' = h^-1 mod k,
 
+        12 s(h, k) = a1 - a2 + ... +- at + (h + h')/k - (3 if t is odd else 1)
 
-def _dedekind_sum(h: int, k: int) -> Fraction:
-    """Dedekind sum s(h, k) for coprime h and k >= 1, by the reciprocity law
-    s(h, k) + s(k, h) = (h/k + k/h + 1/(h*k))/12 - 1/4 and s(h, k) =
-    s(h mod k, k): one Euclid step each, O(log k) steps in all."""
-    total = Fraction(0)
-    sign = 1
+    (D. Hickerson, J. reine angew. Math. 290, 1977; Knuth, TAOCP vol. 2,
+    3.3.3): one continued-fraction pass and one modular inverse."""
     h %= k
-    while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        sign = -sign
-        h, k = k % h, h
-    return total
+    if not h:  # k = 1
+        return 0
+    alt, sign, n, d = 0, 1, k, h
+    while d:
+        a, r = divmod(n, d)
+        alt += sign * a
+        sign, n, d = -sign, d, r
+    return k * alt + h + pow(h, -1, k) - k * (2 - sign)
 
 
-def _casson_signature(t: BrieskornTriple) -> int:
+def brieskorn_signature_fast(t: BrieskornTriple) -> int:
     """Milnor-fiber signature of Sigma(p, q, r) as 8 times the Casson
     invariant (Fukuhara-Matsumoto-Sakamoto 1990, Neumann-Wahl 1990):
 
         sigma = -1 + (1 - a^2 + p^2 q^2 + q^2 r^2 + p^2 r^2) / (3a)
-                - 4 (s(qr, p) + s(pr, q) + s(pq, r)),   a = pqr.
+                - 4 (s(qr, p) + s(pr, q) + s(pq, r)),   a = pqr,
 
-    Holds for every pairwise coprime triple, even indices included; the
-    lattice counts are its oracles in the tests."""
-    p, q, r = t.indices
+    in integers: 3a * sigma = 1 - 3a - a^2 + sum of c (c - 12m s(c, m)) over
+    m in (p, q, r), c = a/m.  Holds for every pairwise coprime triple, even
+    indices included; the lattice counts are its oracles in the tests."""
     a = t.product
-    sigma = (
-        -1
-        + Fraction(1 - a * a + (p * q) ** 2 + (q * r) ** 2 + (p * r) ** 2, 3 * a)
-        - 4 * (_dedekind_sum(q * r, p) + _dedekind_sum(p * r, q) + _dedekind_sum(p * q, r))
-    )
-    assert sigma.denominator == 1
-    return int(sigma)
+    sigma3a = 1 - 3 * a - a * a
+    for m in t.indices:
+        c = a // m
+        sigma3a += c * (c - _dedekind12(c, m))
+    sigma, rem = divmod(sigma3a, 3 * a)
+    assert rem == 0
+    return sigma
 
 
 def rohlin_from_signature(t: BrieskornTriple) -> int:
@@ -220,7 +199,7 @@ def rohlin_from_signature(t: BrieskornTriple) -> int:
         raise DomainError(
             f"signature route to the Rohlin invariant needs all indices odd, got {t.indices}"
         )
-    sig = _casson_signature(t)
+    sig = brieskorn_signature_fast(t)
     if sig % 8:
         raise ParityError(f"signature {sig} of {t.indices} is not divisible by 8")
     return (sig // 8) % 2

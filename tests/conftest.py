@@ -160,8 +160,9 @@ def eval_neg_cont_frac(terms) -> Fraction:
 
 def brieskorn_signature(t) -> int:
     """Milnor-fiber signature of the BrieskornTriple t by direct enumeration
-    of all (a1-1)(a2-1)(a3-1) lattice points, O(a1*a2*a3): the oracle of the
-    per-pair count and of the Casson/Dedekind-sum formula."""
+    of all (a1-1)(a2-1)(a3-1) lattice points, O(a1*a2*a3): the oracle of
+    ``lattice_signature`` and of the Casson/Dedekind-sum formula
+    ``brieskorn_signature_fast``."""
     a1, a2, a3 = t.indices
     n = t.product
     two_n = 2 * n
@@ -182,6 +183,45 @@ def brieskorn_signature(t) -> int:
                 else:
                     neg += 1
     return pos - neg
+
+
+def lattice_signature(t) -> int:
+    """The same lattice-point count in O(a1*a2): for each (i, j) the +1
+    points are the integers k in (0, a3*(m-u)/m) or (a3*(2m-u)/m, a3) with
+    m = a1*a2 and u = i*a2 + j*a1; the window endpoints are never integers,
+    so exact floor counts suffice.  The oracle of ``brieskorn_signature_fast``
+    on triples too large for the triple loop."""
+    a1, a2, a3 = t.indices
+    m = a1 * a2
+    total = (a1 - 1) * (a2 - 1) * (a3 - 1)
+    pos = 0
+    for i in range(1, a1):
+        base = i * a2
+        for j in range(1, a2):
+            u = base + j * a1  # s = u/m + k/a3 with u/m in (0, 2)
+            # k in [1, a3-1] with s in (0, 1): k < a3*(m-u)/m
+            hi = (a3 * (m - u) - 1) // m
+            if hi > 0:
+                pos += min(hi, a3 - 1)
+            # k in [1, a3-1] with s in (2, 3): k > a3*(2m-u)/m
+            lo = a3 * (2 * m - u) // m + 1
+            if lo <= a3 - 1:
+                pos += a3 - lo
+    return 2 * pos - total
+
+
+def reciprocity_dedekind_sum(h: int, k: int) -> Fraction:
+    """Dedekind sum s(h, k) for coprime h and k >= 1, by the reciprocity law
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(h*k))/12 - 1/4 and s(h, k) =
+    s(h mod k, k), over Fractions: the oracle of ``seifert._dedekind12``."""
+    total = Fraction(0)
+    sign = 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
 
 
 # -- the move oracle: each move rebuilds and revalidates the whole graph ------

@@ -753,6 +753,19 @@ def test_mu_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):
+    import plumbcalc.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_seifert", boom)
+    code, out, err = run(capsys, "seifert", "5", "9", "13")
+    assert code == 70
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_check_triple_without_witness_or_fixture(capsys):
     # (3,5,7): no +-1 coefficient assignment exists and no fixture evidence
     # is shipped, and its mu is 0; two criteria fail

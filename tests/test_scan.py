@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from plumbcalc import (
+    DEFAULT_SCAN_PARAMS,
     BrieskornTriple,
     ScanRecord,
     DomainError,
@@ -16,6 +17,7 @@ from plumbcalc import (
     rohlin_from_signature,
     scan_range,
 )
+from plumbcalc import seifert
 from plumbcalc.scan import _unit_solutions
 
 
@@ -206,6 +208,19 @@ def test_tiny_bounds_have_no_all_odd_hits():
     assert records  # there are coefficient +-1 hits...
     assert all_odd_mu1_triples(records) == []  # ...but none all-odd
     assert all(not rec.all_odd for rec in records if rec.triple is not None)
+
+
+def test_scan_computes_one_signature_per_solution(monkeypatch):
+    # the four sign choices of one (k, x, y) solution share one mu, computed
+    # once through the public signature name
+    signatures = []
+    fast = seifert.brieskorn_signature_fast
+    monkeypatch.setattr(seifert, "brieskorn_signature_fast",
+                        lambda t: signatures.append(t) or fast(t))
+    records = scan_range(DEFAULT_SCAN_PARAMS)
+    solutions = {(abs(rec.r * rec.s), min(abs(rec.p), abs(rec.q)), max(abs(rec.p), abs(rec.q)))
+                 for rec in records if rec.all_odd}
+    assert solutions and len(signatures) == len(solutions)
 
 
 @pytest.mark.parametrize(

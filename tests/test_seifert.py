@@ -4,7 +4,12 @@ from math import gcd
 
 import pytest
 
-from conftest import brieskorn_signature, coprime_triples
+from conftest import (
+    brieskorn_signature,
+    coprime_triples,
+    lattice_signature,
+    reciprocity_dedekind_sum,
+)
 from plumbcalc import (
     BrieskornTriple,
     DomainError,
@@ -20,7 +25,7 @@ from plumbcalc import (
     star_plumbing,
 )
 from plumbcalc.fixtures import fixture_graph
-from plumbcalc.seifert import _casson_signature, _dedekind_sum
+from plumbcalc.seifert import _dedekind12
 
 
 def brute_signature_fractions(a1, a2, a3):
@@ -186,19 +191,51 @@ def test_dedekind_sum_matches_definition():
         for h in range(-k, 2 * k):
             if gcd(h, k) == 1:
                 direct = sum(saw(Fraction(i, k)) * saw(Fraction(h * i, k)) for i in range(1, k))
-                assert _dedekind_sum(h, k) == direct, (h, k)
+                assert Fraction(_dedekind12(h, k), 12 * k) == direct, (h, k)
+
+
+def test_dedekind_sum_matches_reciprocity():
+    for k in range(1, 200):
+        for h in range(k):
+            if gcd(h, k) == 1:
+                assert Fraction(_dedekind12(h, k), 12 * k) == reciprocity_dedekind_sum(h, k), (h, k)
+    rng = random.Random(24)
+    pairs = 0
+    while pairs < 50:
+        h, k = rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100)
+        if gcd(h, k) == 1:
+            assert Fraction(_dedekind12(h, k), 12 * k) == reciprocity_dedekind_sum(h, k), (h, k)
+            pairs += 1
 
 
 def test_casson_signature_equals_lattice_counts():
     # even indices included: the formula needs no parity
     for a1, a2, a3 in coprime_triples(2, 40):
         t = BrieskornTriple(a1, a2, a3)
-        assert _casson_signature(t) == brieskorn_signature_fast(t), t.indices
+        assert brieskorn_signature_fast(t) == lattice_signature(t), t.indices
     for a1, a2, a3 in coprime_triples(2, 15):
         t = BrieskornTriple(a1, a2, a3)
-        assert _casson_signature(t) == brieskorn_signature(t), t.indices
+        assert brieskorn_signature_fast(t) == brieskorn_signature(t), t.indices
 
 
 def test_casson_signature_large_triple():
     # the value of the O(a1*a2) lattice count at (1009, 1013, 1019)
-    assert _casson_signature(BrieskornTriple(1009, 1013, 1019)) == -347178080
+    assert brieskorn_signature_fast(BrieskornTriple(1009, 1013, 1019)) == -347178080
+
+
+def test_casson_signature_of_a_300_digit_triple():
+    # the Casson formula over Fractions, with reciprocity Dedekind sums
+    rng = random.Random(300)
+    indices = [rng.randrange(10**299, 10**300) for _ in range(3)]
+    while gcd(indices[0] * indices[1], indices[2]) != 1 or gcd(*indices[:2]) != 1:
+        indices = [rng.randrange(10**299, 10**300) for _ in range(3)]
+    t = BrieskornTriple(*indices)
+    p, q, r = t.indices
+    a = t.product
+    oracle = (
+        -1
+        + Fraction(1 - a * a + (p * q) ** 2 + (q * r) ** 2 + (p * r) ** 2, 3 * a)
+        - 4 * sum(reciprocity_dedekind_sum(a // m, m) for m in (p, q, r))
+    )
+    assert oracle.denominator == 1
+    assert brieskorn_signature_fast(t) == oracle
