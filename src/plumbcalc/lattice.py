@@ -26,9 +26,11 @@ block.  The walk keeps each effective weight as an integer pair
 graph itself and never build a matrix.
 
 ``determinant`` and ``signature`` take a square, symmetric matrix of ints
-and read it once, into its diagonal and its nonzero entries above it.  A
-matrix whose off-diagonal support is a forest goes through the integer
-walk, any other through sparse congruence diagonalization
+in the sparse form of its diagonal and its nonzero entries above it.  A
+``linking_matrix(g)`` carries that form from g's checked forest, so both
+walk in O(n); any other matrix is first read and checked once, in
+O(n^2).  A matrix whose off-diagonal support is a forest goes through the
+integer walk, any other through sparse congruence diagonalization
 (``_diagonalize``), whose only step is the 1x1 pivot: an all-zero diagonal
 first gets a unimodular congruence that makes one diagonal entry nonzero.
 
@@ -66,28 +68,51 @@ class LinkingMatrix:
     index: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        index, n = self.index, len(self.entries)
+        if type(index) is not tuple or not all(type(v) is str for v in index):
+            raise DomainError("matrix index is not a tuple of str ids")
+        if len(index) != n or len(set(index)) != n:
+            raise DomainError(f"matrix index is not {n} distinct ids, one per row")
+
     def __len__(self) -> int:
         return len(self.index)
 
 
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
-    """Linking matrix with rows/columns ordered by sorted vertex id."""
-    ids = g.ids
-    pos = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    rows = [[0] * n for _ in range(n)]
-    for v, w in g.vertices:
-        rows[pos[v]][pos[v]] = w
-    for u, v in g.edges:
-        rows[pos[u]][pos[v]] = 1
-        rows[pos[v]][pos[u]] = 1
-    return LinkingMatrix(index=ids, entries=tuple(tuple(r) for r in rows))
+    """Linking matrix with rows/columns ordered by sorted vertex id.  It
+    also keeps, outside its fields, the sparse form _read would return, so
+    determinant and signature of it walk in O(n); only its dense entries,
+    built a row at a time, cost O(n^2)."""
+    weights, edges = form = _graph_form(g)
+    links = [[] for _ in weights]
+    for i, j, _ in edges:
+        links[i].append(j)
+        links[j].append(i)
+    entries = []
+    for i, w in enumerate(weights):
+        row = [0] * len(weights)
+        row[i] = w
+        for j in links[i]:
+            row[j] = 1
+        entries.append(tuple(row))
+    m = LinkingMatrix(index=g.ids, entries=tuple(entries))
+    object.__setattr__(m, "_form", form)
+    return m
+
+
+def _graph_form(g: PlumbingGraph):
+    """g's linking matrix in _read's form, as tuples: the weights in id order
+    and the edges (i, j, 1), i < j, sorted."""
+    pos = {v: i for i, (v, _) in enumerate(g.vertices)}
+    edges = tuple([(pos[u], pos[v], 1) for u, v in g.edges])
+    return tuple([w for _, w in g.vertices]), edges
 
 
 def _read(m):
     """Read a LinkingMatrix or any square, symmetric nested sequence of ints
     once, into (weights, edges): the diagonal and the nonzero entries
-    (i, j, x) above it.
+    (i, j, x) above it, in O(n^2).
 
     Each row is checked to be square, then to hold only ints, before the
     next one is read; each nonzero below the diagonal is compared with its
@@ -219,12 +244,8 @@ def _forest_walk(weights, edges):
 def _graph_walk(g: PlumbingGraph) -> tuple[int, int, frozenset[str] | None]:
     """(signature, det, Wu class or None) of g's linking matrix, from one
     walk over the graph itself."""
-    ids = g.ids
-    pos = {v: i for i, v in enumerate(ids)}
-    sig, det, wu = _forest_walk(
-        [w for _, w in g.vertices], [(pos[u], pos[v], 1) for u, v in g.edges]
-    )
-    return sig, det, None if wu is None else frozenset(ids[i] for i in wu)
+    sig, det, wu = _forest_walk(*_graph_form(g))
+    return sig, det, None if wu is None else frozenset(map(g.ids.__getitem__, wu))
 
 
 def determinant(m) -> int:
@@ -233,12 +254,15 @@ def determinant(m) -> int:
     ad-hoc matrices that never came from a graph.  A matrix whose
     off-diagonal support is a forest goes through the integer walk, any
     other through congruence diagonalization."""
-    return _sig_det(*_read(m))[1]
+    return _sig_det(m)[1]
 
 
-def _sig_det(weights, edges) -> tuple[int, int]:
-    """(signature, det) of a symmetric matrix in _forest_walk's sparse form:
-    the walk when its support is a forest, else diagonalization."""
+def _sig_det(m) -> tuple[int, int]:
+    """(signature, det) of a symmetric matrix, from the sparse form that a
+    linking_matrix(g) carries or else from _read(m): the walk when its
+    support is a forest, else diagonalization."""
+    form = getattr(m, "_form", None) if isinstance(m, LinkingMatrix) else None
+    weights, edges = _read(m) if form is None else form
     walked = _forest_walk(weights, edges)
     return _diagonalize(weights, edges) if walked is None else walked[:2]
 
@@ -256,12 +280,20 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
     row i and column j to column i is the congruence E A E^T with
     E = I + e_i e_j^T.  det E = 1, so det and (by Sylvester's law) the
     signature stay, and the new A[i][i] = 2 A[i][j] is the next pivot.
+
+    Pivots pop from a heap of (fill, index) entries pushed for each row a
+    step edits, skipping any whose row is gone, has a zero diagonal or has
+    another fill by now: the order a scan over all rows would give.
     """
+    import heapq  # here, so that importing the package does not load it
+
     rows: dict[int, dict[int, Fraction | int]] = {
         i: {i: w} if w else {} for i, w in enumerate(weights)
     }
     for i, j, b in edges:
         rows[i][j] = rows[j][i] = b
+    heap = [(len(row), i) for i, row in rows.items() if i in row]
+    heapq.heapify(heap)
     sig = 0
     det: Fraction | int = 1
 
@@ -273,8 +305,12 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
             rows[k].pop(l, None)
 
     while rows:
-        pivots = [(len(row), i) for i, row in rows.items() if i in row]
-        if not pivots:
+        while heap:
+            fill, pivot = heapq.heappop(heap)
+            row = rows.get(pivot)
+            if row is not None and pivot in row and len(row) == fill:
+                break
+        else:
             linked = [i for i, row in rows.items() if row]
             if not linked:
                 det = 0  # remaining block is identically zero
@@ -284,8 +320,8 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
             for k, x in rows[j].items():
                 add(i, k, x)
                 add(k, i, x)  # twice into A[i][i] when k == i
+            heapq.heappush(heap, (len(rows[i]), i))  # the one nonzero diagonal
             continue
-        pivot = min(pivots)[1]
         coeff = rows.pop(pivot)
         d = coeff.pop(pivot)
         sig += 1 if d > 0 else -1
@@ -295,6 +331,8 @@ def _diagonalize(weights, edges) -> tuple[int, int]:
         for k, xk in coeff.items():
             for l, xl in coeff.items():
                 add(k, l, Fraction(-xk * xl) / d)
+        for k in coeff:
+            heapq.heappush(heap, (len(rows[k]), k))
 
     det_frac = Fraction(det)
     if det_frac.denominator != 1:
@@ -306,7 +344,7 @@ def signature(m) -> int:
     """Signature (positive minus negative eigenvalue count) of a square,
     symmetric integer matrix, exact over the rationals; zero eigenvalues
     contribute 0."""
-    return _sig_det(*_read(m))[0]
+    return _sig_det(m)[0]
 
 
 def _characteristic(wu: frozenset[str] | None) -> frozenset[str]:

@@ -316,10 +316,11 @@ def run_process(*argv, input=None, stdout=subprocess.PIPE, **env):
 
 
 def test_cli_import_loads_no_resource_or_path_modules():
-    # fixtures are files next to their module, read with open(); -S keeps
-    # the interpreter's site hooks from importing either module first
+    # fixtures are files next to their module, read with open(), and
+    # _diagonalize imports heapq when it runs; -S keeps the interpreter's
+    # site hooks from importing any of these modules first
     code = ("import sys, plumbcalc.cli; "
-            "print({'importlib.resources', 'pathlib'} & set(sys.modules))")
+            "print({'importlib.resources', 'pathlib', 'heapq'} & set(sys.modules))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},

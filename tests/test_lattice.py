@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ from conftest import path_graph, random_forest, random_relabeling, relabeled
 from plumbcalc import (
     BrieskornTriple,
     DomainError,
+    LinkingMatrix,
     PlumbingGraph,
     SingularError,
     brieskorn_seifert,
@@ -315,19 +317,84 @@ def record_calls(monkeypatch, *names):
     return calls
 
 
+def test_diagonalize_long_cycles():
+    # the heap's pivots through 60-vertex cycles, against Bareiss; a -3
+    # cycle is negative definite (eigenvalues -3 + 2 cos t)
+    rng = random.Random(60)
+    for weights in ([-3] * 60, [rng.choice((-2, 0, 0, 1, 2)) for _ in range(60)]):
+        a = [[0] * 60 for _ in range(60)]
+        for i, w in enumerate(weights):
+            a[i][i] = w
+            a[i][i - 1] = a[i - 1][i] = rng.choice((1, -1))
+        sig, det = _diagonalize(*sparse(a))
+        assert det == bareiss(a) != 0
+        assert (-1) ** ((60 - sig) // 2) == (1 if det > 0 else -1)
+        if weights == [-3] * 60:
+            assert sig == -60
+
+
 def test_matrix_routing(fixtures, monkeypatch):
-    # forests walk and every other symmetric matrix diagonalizes
-    calls = record_calls(monkeypatch, "_forest_walk", "_diagonalize")
+    # forests walk and every other symmetric matrix diagonalizes; a
+    # linking_matrix(g) is never read, a hand-built twin is read each time
+    calls = record_calls(monkeypatch, "_read", "_forest_walk", "_diagonalize")
     rng = random.Random(17)
     for a in [gamma_style_matrix(rng) for _ in range(20)] + [zero_cycle(rng)]:
         calls.clear()
         assert determinant(a) == _diagonalize(*sparse(a))[1]
         signature(a)
-        assert calls == ["_forest_walk", "_diagonalize"] * 2
+        assert calls == ["_read", "_forest_walk", "_diagonalize"] * 2
     m = linking_matrix(fixtures["d2"])
     calls.clear()
     determinant(m), signature(m)
     assert calls == ["_forest_walk", "_forest_walk"]
+    twin = LinkingMatrix(m.index, m.entries)
+    calls.clear()
+    determinant(twin), signature(twin)
+    assert calls == ["_read", "_forest_walk"] * 2
+
+
+def test_graph_built_matrices_answer_as_read_ones(fixtures):
+    rng = random.Random(25)
+    graphs = list(fixtures.values()) + [random_forest(rng) for _ in range(200)]
+    graphs += [star_plumbing(brieskorn_seifert(BrieskornTriple(*t)))
+               for t in ((2, 3, 5), (3, 5, 1741), (2, 3, 2351))]
+    assert len(graphs[-1]) == 399
+    for g in graphs:
+        m = linking_matrix(g)
+        expected = _graph_walk(g)[:2]
+        for a in (m, LinkingMatrix(m.index, m.entries), [list(r) for r in m.entries]):
+            assert (signature(a), determinant(a)) == expected
+
+
+def test_graph_built_matrix_keeps_only_its_fields(fixtures):
+    m = linking_matrix(fixtures["d2"])
+    twin = LinkingMatrix(m.index, m.entries)
+    assert (repr(m), hash(m), dataclasses.asdict(m)) == (
+        repr(twin), hash(twin), dataclasses.asdict(twin))
+    assert m == twin
+    rows = [list(r) for r in m.entries]
+    rows[0][1] += 1
+    skewed = dataclasses.replace(m, entries=tuple(map(tuple, rows)))
+    for fn in (determinant, signature):
+        with pytest.raises(DomainError) as info:
+            fn(skewed)
+        assert str(info.value) == "matrix is not symmetric"
+
+
+@pytest.mark.parametrize(
+    "index, entries, message",
+    [
+        (("a",), ((1, 0), (0, 1)), "matrix index is not 2 distinct ids, one per row"),
+        (("a", "a"), ((1, 0), (0, 1)), "matrix index is not 2 distinct ids, one per row"),
+        (("a", "b"), ((1,),), "matrix index is not 1 distinct ids, one per row"),
+        (["a"], ((1,),), "matrix index is not a tuple of str ids"),
+        (("a", 2), ((1, 0), (0, 1)), "matrix index is not a tuple of str ids"),
+    ],
+)
+def test_linking_matrix_index_names_each_row_once(index, entries, message):
+    with pytest.raises(DomainError) as info:
+        LinkingMatrix(index, entries)
+    assert str(info.value) == message
 
 
 def test_forest_walk_agrees_with_dense_routes():
