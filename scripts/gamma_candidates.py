@@ -4,9 +4,9 @@
 The handle that turns the Sigma(5,9,13) diagram into an S^3 diagram is a
 curve linking the plumbing in a way plumbing graphs cannot express (a
 two-point attachment closes a cycle), so this screen works directly on the
-linking matrix: append one row/column with diagonal -1 and linking number
-+-1 against every chosen attachment vertex, for every attachment set of
-size 0, 1 or 2, and report which augmented matrices keep |det| = 1.
+linking matrix: add one vertex of weight -1 with linking number +-1
+against every chosen attachment vertex, for every attachment set of size
+0, 1 or 2, and report which augmented matrices keep |det| = 1.
 
 Flipping the sign of the whole new row and column is a congruence, so for a
 single attachment only +1 is tried; for a pair only the relative sign
@@ -23,21 +23,17 @@ Run:  python scripts/gamma_candidates.py
 
 from itertools import combinations
 
-from plumbcalc import determinant, linking_matrix
+from plumbcalc import LinkingMatrix, determinant, linking_matrix
 from plumbcalc.fixtures import fixture_graph
 
 
 def augmented_det(matrix, attachments):
-    """attachments: iterable of (vertex position, linking number)."""
-    n = len(matrix.index)
-    rows = [list(row) + [0] for row in matrix.entries]
-    extra = [0] * (n + 1)
-    extra[n] = -1
-    for pos, lk in attachments:
-        rows[pos][n] = lk
-        extra[pos] = lk
-    rows.append(extra)
-    return determinant(rows)
+    """attachments: iterable of (vertex position, linking number).  The new
+    vertex comes last, under an id longer than every id in the index."""
+    n = len(matrix)
+    index = matrix.index + (max(matrix.index, key=len, default="") + "'",)
+    edges = sorted(matrix.edges + tuple((pos, n, lk) for pos, lk in attachments))
+    return determinant(LinkingMatrix(index, matrix.weights + (-1,), tuple(edges)))
 
 
 def main():

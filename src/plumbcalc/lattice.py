@@ -25,14 +25,14 @@ block.  The walk keeps each effective weight as an integer pair
 (num, den), so it needs no fractions.  The graph functions run it on the
 graph itself and never build a matrix.
 
-``determinant`` and ``signature`` take a square, symmetric matrix of ints
-in the sparse form of its diagonal and its nonzero entries above it.  A
-``linking_matrix(g)`` carries that form from g's checked forest, so both
-walk in O(n); any other matrix is first read and checked once, in
-O(n^2).  A matrix whose off-diagonal support is a forest goes through the
-integer walk, any other through sparse congruence diagonalization
-(``_diagonalize``), whose only step is the 1x1 pivot: an all-zero diagonal
-first gets a unimodular congruence that makes one diagonal entry nonzero.
+A ``LinkingMatrix`` holds a symmetric matrix of ints in sparse form, its
+diagonal and its nonzero entries above it, so ``linking_matrix(g)`` and
+``determinant`` and ``signature`` of it each cost O(n); nested rows are
+first read and checked once, in O(n^2).  A matrix whose off-diagonal
+support is a forest goes through the integer walk, any other through
+sparse congruence diagonalization (``_diagonalize``), whose only step is
+the 1x1 pivot: an all-zero diagonal first gets a unimodular congruence
+that makes one diagonal entry nonzero.
 
 The test suite holds the walk equal to a walk over Fractions, to Bareiss
 elimination and to the diagonalization, the diagonalization's det equal to
@@ -63,46 +63,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinkingMatrix:
-    """Symmetric integer matrix plus the vertex-id order of its rows."""
+    """Symmetric integer matrix in sparse form, plus the vertex-id order of
+    its rows: the diagonal ``weights`` and the nonzero entries ``edges``
+    (i, j, x) above it, i < j, sorted, each pair once."""
 
     index: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        index, n = self.index, len(self.entries)
+        index, weights, edges = self.index, self.weights, self.edges
         if type(index) is not tuple or not all(type(v) is str for v in index):
             raise DomainError("matrix index is not a tuple of str ids")
+        if type(weights) is not tuple or not {int}.issuperset(map(type, weights)):
+            raise DomainError("matrix weights are not a tuple of ints")
+        n = len(weights)
         if len(index) != n or len(set(index)) != n:
             raise DomainError(f"matrix index is not {n} distinct ids, one per row")
+        if type(edges) is not tuple or not all(
+            type(e) is tuple and len(e) == 3 and type(e[0]) is type(e[1]) is type(e[2]) is int
+            and 0 <= e[0] < e[1] < n and e[2] for e in edges
+        ):
+            raise DomainError(f"matrix edges are not (i, j, x) ints, 0 <= i < j < {n}, x != 0")
+        if any(e[:2] >= f[:2] for e, f in zip(edges, edges[1:])):
+            raise DomainError("matrix edges are not sorted, each pair once")
 
     def __len__(self) -> int:
         return len(self.index)
 
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built on each read in O(n^2) time and memory.
+        Nothing in the library reads them; they serve callers that want the
+        matrix as rows, such as the benchmark's augmented matrices."""
+        rows = [[0] * len(self.weights) for _ in self.weights]
+        for i, w in enumerate(self.weights):
+            rows[i][i] = w
+        for i, j, x in self.edges:
+            rows[i][j] = rows[j][i] = x
+        return tuple(map(tuple, rows))
+
 
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
-    """Linking matrix with rows/columns ordered by sorted vertex id.  It
-    also keeps, outside its fields, the sparse form _read would return, so
-    determinant and signature of it walk in O(n); only its dense entries,
-    built a row at a time, cost O(n^2)."""
-    weights, edges = form = _graph_form(g)
-    links = [[] for _ in weights]
-    for i, j, _ in edges:
-        links[i].append(j)
-        links[j].append(i)
-    entries = []
-    for i, w in enumerate(weights):
-        row = [0] * len(weights)
-        row[i] = w
-        for j in links[i]:
-            row[j] = 1
-        entries.append(tuple(row))
-    m = LinkingMatrix(index=g.ids, entries=tuple(entries))
-    object.__setattr__(m, "_form", form)
-    return m
+    """Linking matrix with rows/columns ordered by sorted vertex id, in
+    O(n): g's sparse form, checked once more by the constructor."""
+    return LinkingMatrix(g.ids, *_graph_form(g))
 
 
 def _graph_form(g: PlumbingGraph):
-    """g's linking matrix in _read's form, as tuples: the weights in id order
+    """g's linking matrix in sparse form, as tuples: the weights in id order
     and the edges (i, j, 1), i < j, sorted."""
     pos = {v: i for i, (v, _) in enumerate(g.vertices)}
     edges = tuple([(pos[u], pos[v], 1) for u, v in g.edges])
@@ -110,9 +119,9 @@ def _graph_form(g: PlumbingGraph):
 
 
 def _read(m):
-    """Read a LinkingMatrix or any square, symmetric nested sequence of ints
-    once, into (weights, edges): the diagonal and the nonzero entries
-    (i, j, x) above it, in O(n^2).
+    """Read a square, symmetric nested sequence of ints once, into
+    (weights, edges): the diagonal and the nonzero entries (i, j, x) above
+    it, in O(n^2).  A matrix or row that is not iterable is a DomainError.
 
     Each row is checked to be square, then to hold only ints, before the
     next one is read; each nonzero below the diagonal is compared with its
@@ -120,8 +129,10 @@ def _read(m):
     nonzeros below the diagonal as above make the matrix symmetric; any
     other matrix raises DomainError once every row is read.
     """
-    entries = m.entries if isinstance(m, LinkingMatrix) else m
-    rows = [row if type(row) in (list, tuple) else list(row) for row in entries]
+    try:
+        rows = [row if type(row) in (list, tuple) else list(row) for row in m]
+    except TypeError:
+        raise DomainError("matrix is not a sequence of rows") from None
     n = len(rows)
     cols = list(range(n))  # compress over a list allocates no index ints
     weights, edges, below, symmetric = [], [], 0, True
@@ -258,11 +269,10 @@ def determinant(m) -> int:
 
 
 def _sig_det(m) -> tuple[int, int]:
-    """(signature, det) of a symmetric matrix, from the sparse form that a
-    linking_matrix(g) carries or else from _read(m): the walk when its
-    support is a forest, else diagonalization."""
-    form = getattr(m, "_form", None) if isinstance(m, LinkingMatrix) else None
-    weights, edges = _read(m) if form is None else form
+    """(signature, det) of a symmetric matrix: a LinkingMatrix as it is,
+    nested rows from _read(m); then the walk when the support is a forest,
+    else diagonalization."""
+    weights, edges = (m.weights, m.edges) if isinstance(m, LinkingMatrix) else _read(m)
     walked = _forest_walk(weights, edges)
     return _diagonalize(weights, edges) if walked is None else walked[:2]
 

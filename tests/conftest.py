@@ -5,12 +5,14 @@ reproducible; no test depends on wall-clock or iteration order of sets.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from plumbcalc import (
+    DEFAULT_BUDGET,
     Move,
     MoveError,
     MoveTrace,
@@ -22,7 +24,8 @@ from plumbcalc import (
     mu_bar,
 )
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph
-from plumbcalc.lattice import _graph_walk
+from plumbcalc.calculus import _greedy_pass
+from plumbcalc.lattice import _forest_walk, _graph_walk
 
 # Weight pool biased toward the values the calculus cares about (+-1, 0, -2).
 _WEIGHT_POOL = (-7, -4, -3, -2, -2, -2, -1, -1, 0, 0, 1, 2)
@@ -484,6 +487,60 @@ def not_s3_routes(g) -> list[str]:
     """The names of the routes that prove the diagram g, of |det| = 1, is
     not S^3; empty when none does."""
     return [route.__name__ for route in NOT_S3_ROUTES if route(g)]
+
+
+# -- every small tree: an exhaustive corpus for the reducer's verdicts -----------
+
+
+def unlabeled_trees(n: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Every tree on n >= 1 vertices up to isomorphism, as its edges
+    (i, j, 1), i < j, on the vertices 0..n-1: each tree on n - 1 vertices
+    grows one leaf at each vertex, and a grown tree is kept when
+    canonical_form (all weights 0) has not met its shape yet."""
+    trees = [()]
+    for size in range(2, n + 1):
+        ids = [f"v{i}" for i in range(size)]
+        shapes, grown = set(), []
+        for edges in trees:
+            for v in range(size - 1):
+                tree = edges + ((v, size - 1, 1),)
+                shape = canonical_form(PlumbingGraph.build(
+                    dict.fromkeys(ids, 0), [(ids[i], ids[j]) for i, j, _ in tree]))
+                if shape not in shapes:
+                    shapes.add(shape)
+                    grown.append(tree)
+        trees = grown
+    return trees
+
+
+def tree_sweep(n: int, weights) -> tuple[Counter, list[PlumbingGraph]]:
+    """Every weighting from ``weights`` of every tree on n vertices, kept
+    when its |det| is 1 (by ``_forest_walk`` on the index form, before any
+    graph is built), then reduced by the greedy pass.  Returns the counts
+    of shapes, weightings, |det| = 1 trees, emptied and stuck pass ends,
+    and stuck ends per NOT-S3 route, and the trees whose stuck end no route
+    rules out: each would be a counterexample to reading a stuck pass as
+    NOT-S3."""
+    counts, uncaught = Counter(), []
+    ids = [f"v{i}" for i in range(n)]
+    for edges in unlabeled_trees(n):
+        counts["shapes"] += 1
+        for ws in product(weights, repeat=n):
+            counts["weightings"] += 1
+            if abs(_forest_walk(ws, edges)[1]) != 1:
+                continue
+            counts["det1"] += 1
+            g = PlumbingGraph.build(dict(zip(ids, ws)), [(ids[i], ids[j]) for i, j, _ in edges])
+            end = _greedy_pass(g, DEFAULT_BUDGET).end
+            if end.is_empty:
+                counts["emptied"] += 1
+                continue
+            counts["stuck"] += 1
+            routes = not_s3_routes(end)
+            counts.update(routes)
+            if not routes:
+                uncaught.append(g)
+    return counts, uncaught
 
 
 @pytest.fixture(scope="session")

@@ -58,7 +58,8 @@ MODULE_ALL = {
 SIGNATURES = {
     "BrieskornTriple": "(a1: 'int', a2: 'int', a3: 'int') -> None",
     "LinkingMatrix": (
-        "(index: 'tuple[str, ...]', entries: 'tuple[tuple[int, ...], ...]') -> None"
+        "(index: 'tuple[str, ...]', weights: 'tuple[int, ...]', "
+        "edges: 'tuple[tuple[int, int, int], ...]') -> None"
     ),
     "Move": (
         "(kind: 'str', ids: 'tuple[str, ...]', weight: 'int | None' = None, "

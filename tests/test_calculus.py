@@ -20,6 +20,7 @@ from conftest import (
     random_relabeling,
     random_s3_diagram,
     relabeled,
+    tree_sweep,
 )
 from plumbcalc import (
     DEFAULT_BUDGET,
@@ -607,6 +608,19 @@ def test_pass_reduces_whatever_the_search_reduces():
             found += 1
             assert trace.end.is_empty, g
     assert found > 2500 and stuck > 0
+
+
+def test_pass_empties_or_a_route_fires_on_every_small_tree():
+    # every unlabeled tree of 1-5 vertices with weights -4..2: of the 55,622
+    # weightings 4159 have |det| = 1, and the pass stops short on 12 of them;
+    # scripts/tree_sweep.py runs the wider sweep against a golden summary
+    total = Counter()
+    for n in range(1, 6):
+        counts, uncaught = tree_sweep(n, range(-4, 3))
+        assert not uncaught, uncaught
+        total += counts
+    assert (total["shapes"], total["weightings"]) == (8, 55622)
+    assert (total["det1"], total["emptied"], total["stuck"]) == (4159, 4147, 12)
 
 
 def test_reducer_certifies_every_generated_s3_diagram():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,12 +29,12 @@ from plumbcalc.lattice import _diagonalize, _forest_walk, _graph_walk
 
 
 def sparse(a):
-    """(diagonal, nonzero entries (i, j, x) above it) of a dense matrix:
-    the input form of _forest_walk and _diagonalize."""
+    """(diagonal, nonzero entries (i, j, x) above it) of a dense matrix, as
+    tuples: the input form of _forest_walk, _diagonalize and LinkingMatrix."""
     n = len(a)
-    return [a[i][i] for i in range(n)], [
+    return tuple(a[i][i] for i in range(n)), tuple(
         (i, j, a[i][j]) for i in range(n) for j in range(i + 1, n) if a[i][j]
-    ]
+    )
 
 
 def walk_matrix(a):
@@ -217,7 +218,13 @@ def two_vertex_graph():
 
 def test_linking_matrix_examples(fixtures):
     m = linking_matrix(two_vertex_graph())
+    assert (m.weights, m.edges) == ((-2, 0), ((0, 1, 1),))
     assert m.entries == ((-2, 1), (1, 0))
+    twin = LinkingMatrix(("a", "b"), (-2, 0), ((0, 1, 1),))
+    assert m == twin and hash(m) == hash(twin)
+    with pytest.raises(DomainError) as info:
+        dataclasses.replace(m, weights=(-2, 0.5))
+    assert str(info.value) == "matrix weights are not a tuple of ints"
     single = linking_matrix(PlumbingGraph.build({"x": 7}))
     assert single.entries == ((7,),)
     d2 = linking_matrix(fixtures["d2"])
@@ -335,7 +342,8 @@ def test_diagonalize_long_cycles():
 
 def test_matrix_routing(fixtures, monkeypatch):
     # forests walk and every other symmetric matrix diagonalizes; a
-    # linking_matrix(g) is never read, a hand-built twin is read each time
+    # LinkingMatrix, graph-built or hand-built, is never read, and nested
+    # rows are read once per call
     calls = record_calls(monkeypatch, "_read", "_forest_walk", "_diagonalize")
     rng = random.Random(17)
     for a in [gamma_style_matrix(rng) for _ in range(20)] + [zero_cycle(rng)]:
@@ -343,14 +351,16 @@ def test_matrix_routing(fixtures, monkeypatch):
         assert determinant(a) == _diagonalize(*sparse(a))[1]
         signature(a)
         assert calls == ["_read", "_forest_walk", "_diagonalize"] * 2
+        hand_built = LinkingMatrix(tuple(f"v{i}" for i in range(len(a))), *sparse(a))
+        calls.clear()
+        assert (signature(hand_built), determinant(hand_built)) == _diagonalize(*sparse(a))
+        assert calls == ["_forest_walk", "_diagonalize"] * 2
     m = linking_matrix(fixtures["d2"])
-    calls.clear()
-    determinant(m), signature(m)
-    assert calls == ["_forest_walk", "_forest_walk"]
-    twin = LinkingMatrix(m.index, m.entries)
-    calls.clear()
-    determinant(twin), signature(twin)
-    assert calls == ["_read", "_forest_walk"] * 2
+    twin = LinkingMatrix(m.index, m.weights, m.edges)
+    for a, read in ((m, []), (twin, []), ([list(r) for r in m.entries], ["_read"])):
+        calls.clear()
+        determinant(a), signature(a)
+        assert calls == (read + ["_forest_walk"]) * 2
 
 
 def test_graph_built_matrices_answer_as_read_ones(fixtures):
@@ -362,38 +372,45 @@ def test_graph_built_matrices_answer_as_read_ones(fixtures):
     for g in graphs:
         m = linking_matrix(g)
         expected = _graph_walk(g)[:2]
-        for a in (m, LinkingMatrix(m.index, m.entries), [list(r) for r in m.entries]):
+        for a in (m, [list(r) for r in m.entries]):
             assert (signature(a), determinant(a)) == expected
 
 
-def test_graph_built_matrix_keeps_only_its_fields(fixtures):
-    m = linking_matrix(fixtures["d2"])
-    twin = LinkingMatrix(m.index, m.entries)
-    assert (repr(m), hash(m), dataclasses.asdict(m)) == (
-        repr(twin), hash(twin), dataclasses.asdict(twin))
-    assert m == twin
-    rows = [list(r) for r in m.entries]
-    rows[0][1] += 1
-    skewed = dataclasses.replace(m, entries=tuple(map(tuple, rows)))
-    for fn in (determinant, signature):
-        with pytest.raises(DomainError) as info:
-            fn(skewed)
-        assert str(info.value) == "matrix is not symmetric"
+BAD_EDGE = "matrix edges are not (i, j, x) ints, 0 <= i < j < 3, x != 0"
 
 
 @pytest.mark.parametrize(
-    "index, entries, message",
+    "index, entries, message",  # entries: (weights, edges)
     [
-        (("a",), ((1, 0), (0, 1)), "matrix index is not 2 distinct ids, one per row"),
-        (("a", "a"), ((1, 0), (0, 1)), "matrix index is not 2 distinct ids, one per row"),
-        (("a", "b"), ((1,),), "matrix index is not 1 distinct ids, one per row"),
-        (["a"], ((1,),), "matrix index is not a tuple of str ids"),
-        (("a", 2), ((1, 0), (0, 1)), "matrix index is not a tuple of str ids"),
+        (("a",), ((1, 1), ()), "matrix index is not 2 distinct ids, one per row"),
+        (("a", "a"), ((1, 1), ()), "matrix index is not 2 distinct ids, one per row"),
+        (("a", "b"), ((1,), ()), "matrix index is not 1 distinct ids, one per row"),
+        (["a"], ((1,), ()), "matrix index is not a tuple of str ids"),
+        (("a", 2), ((1, 1), ()), "matrix index is not a tuple of str ids"),
+        (("a",), ([1], ()), "matrix weights are not a tuple of ints"),
+        (("a",), ((True,), ()), "matrix weights are not a tuple of ints"),
+        (("a", "b"), ((1, 2.0), ()), "matrix weights are not a tuple of ints"),
+        (("a", "b", "c"), ((1, 1, 1), [(0, 1, 1)]), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((1, 0, 1),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((1, 1, 1),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 3, 1),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((-1, 1, 1),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 1, 0),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 1, True),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 1),)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ([0, 1, 1],)), BAD_EDGE),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 2, 1), (0, 1, 1))),
+         "matrix edges are not sorted, each pair once"),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 1, 1), (0, 1, 1))),
+         "matrix edges are not sorted, each pair once"),
+        (("a", "b", "c"), ((1, 1, 1), ((0, 1, 2), (0, 1, 1))),
+         "matrix edges are not sorted, each pair once"),
     ],
 )
 def test_linking_matrix_index_names_each_row_once(index, entries, message):
+    # the constructor checks the index, the weights and the edges
     with pytest.raises(DomainError) as info:
-        LinkingMatrix(index, entries)
+        LinkingMatrix(index, *entries)
     assert str(info.value) == message
 
 
@@ -533,6 +550,9 @@ def test_entries_must_be_ints(fn, m):
         ([[0, 1, 0], [1, 0, True], [0, 1, 0]], "matrix entry True is not an int"),
         ([[1, 2.5], [2]], "matrix entry 2.5 is not an int"),  # row by row
         ([[1, 2], [2, 1], [3]], "matrix is not square"),
+        (5, "matrix is not a sequence of rows"),
+        (None, "matrix is not a sequence of rows"),
+        ([1, 2], "matrix is not a sequence of rows"),
     ],
 )
 def test_bad_matrices_raise_domain_error(fn, m, message):
@@ -558,8 +578,22 @@ def test_long_path_and_big_star_in_linear_time():
     assert abs(determinant(m)) == 1
     assert signature(m) == -675
     sig_det = (-675, determinant(m))
-    assert _graph_walk(star)[:2] == fraction_walk(*sparse(m.entries)) == sig_det
+    assert _graph_walk(star)[:2] == fraction_walk(m.weights, m.edges) == sig_det
     assert rohlin_mu_bar(star) == rohlin_from_signature(t) == 1
+
+
+def test_linking_matrix_of_a_long_path_allocates_linear_memory():
+    # the sparse form of a 3000-vertex path is some 0.5 MB; dense rows
+    # would be 3000 tuples of 3000 entries, some 73 MB
+    path = path_graph(*[-2] * 3000)
+    tracemalloc.start()
+    try:
+        m = linking_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert (signature(m), determinant(m)) == (-3000, 3001)
 
 
 def test_signature_is_congruence_invariant():
