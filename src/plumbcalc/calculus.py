@@ -140,14 +140,35 @@ def _replay(start: PlumbingGraph, moves) -> PlumbingGraph:
     return diagram.graph()
 
 
+def _check_move(move: Move) -> None:
+    """Every check a move can fail without a diagram, in order: its kind, id
+    count, weight (+-1 on a blow-up, else None), blow-up attachments, new id."""
+    kind, ids, weight = move.kind, move.ids, move.weight
+    if kind not in _MOVE_ARITY:
+        raise MoveError(f"unknown move kind {kind!r}")
+    low, high = _MOVE_ARITY[kind]
+    if not low <= len(ids) <= high:
+        raise MoveError(f"malformed move: {kind} with {len(ids)} vertex id(s)")
+    if kind == "blowup":
+        if type(weight) is not int or weight not in (1, -1):
+            raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
+        if len(set(ids[1:])) != len(ids) - 1:
+            raise MoveError("blow-up attaches to at most 2 distinct vertices")
+        if not isinstance(ids[0], str) or not VERTEX_ID_RE.match(ids[0]):
+            raise MoveError(f"bad vertex id {ids[0]!r} for a blow-up")
+    elif weight is not None:
+        raise MoveError(f"a {kind} move takes no weight, got {weight!r}")
+
+
 class _Diagram:
     """A mutable copy of a graph's weights and adjacency.  ``apply`` checks
     what every move must satisfy; each move's method checks only its own
-    preconditions, then edits.  When they hold a move keeps the diagram a
-    simple forest: a valence-2 blow-down joins two vertices that are in
-    separate trees once the blown vertex is gone, an absorption merges two
-    trees, and a two-point blow-up splits an existing edge.  So only the
-    graph that ``graph`` builds at the end needs validating.
+    preconditions on the diagram (for a blow-up, an unused new id and an
+    existing edge to split), then edits.  When they hold a move keeps the
+    diagram a simple forest: a valence-2 blow-down joins two vertices that
+    are in separate trees once the blown vertex is gone, an absorption
+    merges two trees, and a two-point blow-up splits an existing edge.  So
+    only the graph that ``graph`` builds at the end needs validating.
 
     ``copy`` gives an independent diagram to edit, so the search can keep
     each state it queues.  ``moves`` and ``blow_ups`` list the search's
@@ -196,20 +217,9 @@ class _Diagram:
         ]
 
     def apply(self, move: Move) -> None:
-        """Check a known kind, an id count within ``_MOVE_ARITY``, a +-1 int
-        weight on a blow-up and none on other kinds, every vertex named but a
-        blow-up's new id and any ``pre`` weights, in order; then make the move."""
+        """Check the move, each vertex it names but a new id, and ``pre``; then make it."""
+        _check_move(move)
         kind, ids, weight = move.kind, move.ids, move.weight
-        if kind not in _MOVE_ARITY:
-            raise MoveError(f"unknown move kind {kind!r}")
-        low, high = _MOVE_ARITY[kind]
-        if not low <= len(ids) <= high:
-            raise MoveError(f"malformed move: {kind} with {len(ids)} vertex id(s)")
-        if kind == "blowup":
-            if type(weight) is not int or weight not in (1, -1):
-                raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
-        elif weight is not None:
-            raise MoveError(f"a {kind} move takes no weight, got {weight!r}")
         for v in ids[1:] if kind == "blowup" else ids:
             if v not in self.weight:
                 raise MoveError(f"cannot apply {move}: no vertex {v!r}")
@@ -255,15 +265,11 @@ class _Diagram:
     def blowup(self, weight: int, new_id: str, *attach: str) -> None:
         if new_id in self.weight:
             raise MoveError(f"vertex id {new_id!r} already in use")
-        if len(set(attach)) != len(attach):
-            raise MoveError("blow-up attaches to at most 2 distinct vertices")
         edge = attach if len(attach) == 2 else ()
         if edge and edge[1] not in self.adj[edge[0]]:
             raise MoveError(
                 f"two-point blow-up needs an existing edge ({edge[0]!r}, {edge[1]!r}) to split"
             )
-        if not isinstance(new_id, str) or not VERTEX_ID_RE.match(new_id):
-            raise MoveError(f"bad vertex id {new_id!r} for a blow-up")
         if edge:
             self._edit(edge[0]).remove(edge[1])
             self._edit(edge[1]).remove(edge[0])

@@ -23,12 +23,13 @@ run of -1 blow-ups next to one vertex, then its blow-down) and from a search
 with a positive blow-up depth.
 
 Parsing reports the offending line for every malformed document.  One loop
-reads the lines.  It checks the format itself (directives, arity, weights
-as ASCII ``[+-]?[0-9]+``, move-line id tokens, no graph line after a move)
-and feeds each graph line to the graphs module's forest validator, which
-checks the graph invariants.  Every check raises DomainError, and the loop
-reports it as GraphFormatError("<source>:<lineno>: <message>"), so the
-diagnostic points at the exact line that breaks the format or the forest.
+reads the lines.  It checks the tokens itself (directives, graph-line
+arity, weights as ASCII ``[+-]?[0-9]+``, move-line ids, no graph line after
+a move), feeds each graph line to the graphs module's forest validator and
+each move to the calculus module's move checker (id count, a blow-up's +-1
+weight and distinct attachments: what a move can fail without a diagram).
+Every check raises DomainError or MoveError, which the loop reports as
+GraphFormatError("<source>:<lineno>: <message>") at the offending line.
 On each line, id errors are reported before weight errors.
 
 A weight longer than Python's int/str digit limit (4300 digits by default;
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 import re
 
-from .calculus import _MOVE_ARITY, Move, MoveTrace
-from .errors import DomainError, GraphFormatError
+from .calculus import _MOVE_ARITY, Move, MoveTrace, _check_move
+from .errors import DomainError, GraphFormatError, MoveError
 from .graphs import PlumbingGraph, _check_id, _ForestBuilder
 
 __all__ = [
@@ -81,23 +82,16 @@ def _parse(text: str, source: str, allow_moves: bool) -> tuple[PlumbingGraph, li
             elif not allow_moves:
                 raise DomainError(f"move line {kind!r} in a graph file")
             else:
-                moves.append(_move(kind, args))
-        except DomainError as exc:
+                ids = args[1:] if kind == "blowup" else args
+                for token in ids:  # id errors come before weight errors
+                    _check_id(token)
+                weight = _weight(args[0], "blow-up weight") if kind == "blowup" and args else None
+                move = Move(kind, tuple(ids), weight=weight)
+                _check_move(move)
+                moves.append(move)
+        except (DomainError, MoveError) as exc:
             raise GraphFormatError(f"{source}:{lineno}: {exc}") from None
     return PlumbingGraph.build(forest.weights, forest.edges), moves
-
-
-def _move(kind: str, args: list[str]) -> Move:
-    low, high = _MOVE_ARITY[kind]
-    ids = args[1:] if kind == "blowup" else args
-    if not low <= len(ids) <= high:
-        if kind == "blowup":
-            raise DomainError("blowup line needs: blowup <weight> <id> [<id> [<id>]]")
-        raise DomainError(f"{kind} line needs exactly {low} vertex id(s)")
-    for token in ids:
-        _check_id(token)
-    weight = _weight(args[0], "blow-up weight") if kind == "blowup" else None
-    return Move(kind, tuple(ids), weight=weight)
 
 
 def _weight(token: str, what: str) -> int:

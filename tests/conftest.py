@@ -13,6 +13,7 @@ import pytest
 
 from plumbcalc import (
     DEFAULT_BUDGET,
+    VERTEX_ID_RE,
     Move,
     MoveError,
     MoveTrace,
@@ -259,9 +260,6 @@ def oracle_blow_down(g, v):
 def oracle_blow_up(g, new_id, weight, attach=()):
     if new_id in g._weight_map:
         raise MoveError(f"vertex id {new_id!r} already in use")
-    attach = tuple(attach)
-    if len(attach) > 2 or len(set(attach)) != len(attach):
-        raise MoveError("blow-up attaches to at most 2 distinct vertices")
     weights = dict(g.vertices)
     for v in attach:
         weights[v] += weight
@@ -323,8 +321,13 @@ def oracle_apply_move(g, move):
     if not low <= len(move.ids) <= high:
         raise MoveError(f"malformed move: {move.kind} with {len(move.ids)} vertex id(s)")
     if move.kind == "blowup":
+        new_id, *attach = move.ids
         if type(move.weight) is not int or move.weight not in (1, -1):
             raise MoveError(f"blow-up weight must be +-1, got {move.weight!r}")
+        if len(set(attach)) != len(attach):
+            raise MoveError("blow-up attaches to at most 2 distinct vertices")
+        if not isinstance(new_id, str) or not VERTEX_ID_RE.match(new_id):
+            raise MoveError(f"bad vertex id {new_id!r} for a blow-up")
     elif move.weight is not None:
         raise MoveError(f"a {move.kind} move takes no weight, got {move.weight!r}")
     for v in move.ids[1:] if move.kind == "blowup" else move.ids:

@@ -533,16 +533,6 @@ def move_outcome(apply, g, move):
         return type(e), str(e)
 
 
-def oracle_outcome(g, move):
-    """The oracle's outcome, with the one change ``apply_move`` makes on
-    purpose: a blow-up's malformed new id is a MoveError, raised before the
-    graph is built, not the DomainError of ``PlumbingGraph.build``."""
-    outcome = move_outcome(oracle_apply_move, g, move)
-    if outcome == (DomainError, f"bad vertex id {move.ids[0]!r}"):
-        return MoveError, f"bad vertex id {move.ids[0]!r} for a blow-up"
-    return outcome
-
-
 def test_moves_preserve_det_and_forest():
     rng = random.Random(20260101)
     kinds, probes = Counter(), Counter()
@@ -551,7 +541,7 @@ def test_moves_preserve_det_and_forest():
         det_before = abs(determinant(linking_matrix(g)))
         for move in probe_moves(g):
             outcome = move_outcome(apply_move, g, move)
-            assert outcome == oracle_outcome(g, move), move
+            assert outcome == move_outcome(oracle_apply_move, g, move), move
             probes[outcome[0] if type(outcome) is tuple else "graph"] += 1
         for seq in [[m] for m in applicable_moves(g)] + zero_and_chain_moves(g):
             h = g

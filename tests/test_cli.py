@@ -30,7 +30,7 @@ from plumbcalc import (
 from plumbcalc.cli import _surgery_witness, main
 from plumbcalc.fixtures import FIXTURE_NAMES, fixture_graph, fixture_text
 from plumbcalc.lattice import _graph_walk
-from plumbcalc.errors import GraphFormatError
+from plumbcalc.errors import GraphFormatError, ParityError
 
 
 NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
@@ -198,6 +198,19 @@ def test_mu_invalid_triple(capsys):
     assert code == 2
 
 
+def test_mu_signature_parity_error_exits_2(capsys, monkeypatch):
+    # 8 divides the signature of every all-odd triple; a signature it does
+    # not divide is a ParityError naming it, raised before mu prints a line
+    import plumbcalc.seifert as seifert
+
+    monkeypatch.setattr(seifert, "brieskorn_signature_fast", lambda t: 4)
+    with pytest.raises(ParityError, match=r"^signature 4 of \(3, 5, 7\) is not divisible by 8$"):
+        seifert.rohlin_from_signature(BrieskornTriple(3, 5, 7))
+    code, out, err = run(capsys, "mu", "3", "5", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: signature 4 of (3, 5, 7) is not divisible by 8\n"
+
+
 # -- reduce / replay ----------------------------------------------------------------
 
 
@@ -276,6 +289,14 @@ def test_replay_trace_rejects_invalid_moves(capsys, tmp_path, move, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_replay_trace_malformed_move_line_exits_2(capsys, tmp_path):
+    # a move that fails without looking at a diagram is a malformed line
+    f = tmp_path / "bad.trace"
+    f.write_text("vertex a -2\nblowup 5 z a\n")
+    expected_err = f"error: {f}:2: blow-up weight must be +-1, got 5\n"
+    assert run(capsys, "replay-trace", str(f)) == (2, "", expected_err)
 
 
 def test_replay_trace_missing_file(capsys):
@@ -781,16 +802,19 @@ def test_check_triple_without_witness_or_fixture(capsys):
 @pytest.mark.parametrize(
     "move_line,fragment",
     [
-        ("absorb", "absorb line needs exactly 1"),
-        ("absorb b c", "absorb line needs exactly 1"),
-        ("split", "split line needs exactly 1"),
-        ("split b c", "split line needs exactly 1"),
+        ("absorb", "malformed move: absorb with 0 vertex id(s)"),
+        ("absorb b c", "malformed move: absorb with 2 vertex id(s)"),
+        ("split", "malformed move: split with 0 vertex id(s)"),
+        ("split b c", "malformed move: split with 2 vertex id(s)"),
         ("absorb b$", "bad vertex id 'b$'"),
         ("split b!", "bad vertex id 'b!'"),
-        ("blowup -1", "blowup line needs: blowup <weight> <id> [<id> [<id>]]"),
+        ("blowup -1", "malformed move: blowup with 0 vertex id(s)"),
         ("blowup x z0 a", "blow-up weight 'x' is not an integer"),
         ("blowup 1_0 z0 a", "blow-up weight '1_0' is not an integer"),
         ("blowup x z$ a", "bad vertex id 'z$'"),
+        ("blowup 5 z0 a", "blow-up weight must be +-1, got 5"),
+        ("blowup 0 z0", "blow-up weight must be +-1, got 0"),
+        ("blowup -1 z0 a a", "blow-up attaches to at most 2 distinct vertices"),
         pytest.param(
             f"blowup -{'9' * 5000} z0 a", "sys.set_int_max_str_digits",
             id="blow-up-weight-past-the-digit-limit", marks=NEEDS_DIGIT_LIMIT,
