@@ -141,9 +141,13 @@ def _replay(start: PlumbingGraph, moves) -> PlumbingGraph:
 
 
 def _check_move(move: Move) -> None:
-    """Every check a move can fail without a diagram, in order: its kind, id
-    count, weight (+-1 on a blow-up, else None), blow-up attachments, new id."""
+    """Every check a move can fail without a diagram, in order: its type, a tuple
+    of str ids, kind, id count, weight (+-1 on a blow-up, else None), attachments, new id."""
+    if not isinstance(move, Move):
+        raise MoveError(f"not a Move: {move!r}")
     kind, ids, weight = move.kind, move.ids, move.weight
+    if not isinstance(ids, tuple) or not all(isinstance(v, str) for v in ids):
+        raise MoveError(f"move ids must be a tuple of str, got {ids!r}")
     if kind not in _MOVE_ARITY:
         raise MoveError(f"unknown move kind {kind!r}")
     low, high = _MOVE_ARITY[kind]
@@ -154,7 +158,7 @@ def _check_move(move: Move) -> None:
             raise MoveError(f"blow-up weight must be +-1, got {weight!r}")
         if len(set(ids[1:])) != len(ids) - 1:
             raise MoveError("blow-up attaches to at most 2 distinct vertices")
-        if not isinstance(ids[0], str) or not VERTEX_ID_RE.match(ids[0]):
+        if not VERTEX_ID_RE.match(ids[0]):
             raise MoveError(f"bad vertex id {ids[0]!r} for a blow-up")
     elif weight is not None:
         raise MoveError(f"a {kind} move takes no weight, got {weight!r}")

@@ -12,11 +12,13 @@ Exit codes are fixed so shell scripts need no output parsing:
   70  internal error (a bug): one ``internal error:`` line, no traceback
   141  stdout closed early, as by ``| head`` (what a shell reports for SIGPIPE)
 
-Reports go to stdout; the one file written is the ``reduce --trace`` file.
-Every command is deterministic: identical invocations produce byte-identical
-stdout and trace files.  Graph and trace arguments accept any readable path,
-a pipe or /dev/stdin included; a graph argument that names no existing path
-is looked up as a shipped fixture (d2, d3, d4, e8, sigma-3-13-23).
+Each command returns its exit code and its whole report, and ``main`` alone
+writes stdout, so a command that raises prints nothing there.  The one file
+written is the ``reduce --trace`` file.  Every command is deterministic:
+identical invocations produce byte-identical stdout and trace files.  Graph
+and trace arguments accept any readable path, a pipe or /dev/stdin included;
+a graph argument that names no existing path is looked up as a shipped
+fixture (d2, d3, d4, e8, sigma-3-13-23).
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
+from .arith import neg_cont_frac
 from .calculus import Verdict, _replay, reduce_to_s3
 from .errors import (
     DomainError,
@@ -58,6 +62,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
+
+Report = tuple[int, Iterable[str]]  # exit code, report lines without their newlines
 
 # Evidence for the +-1-surgery criterion when no scan witness exists: these
 # diagrams realize "the sphere plus one added handle is S^3", which exhibits
@@ -95,74 +101,62 @@ def _triple(args) -> BrieskornTriple:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> Report:
     try:
         x = Fraction(args.num, args.den)
     except ZeroDivisionError:
         raise DomainError("denominator must be nonzero") from None
-    from .arith import neg_cont_frac
-
-    print(" ".join(str(c) for c in neg_cont_frac(x)))
-    return EXIT_OK
+    return EXIT_OK, [" ".join(str(c) for c in neg_cont_frac(x))]
 
 
-def cmd_seifert(args) -> int:
+def cmd_seifert(args) -> Report:
     data = brieskorn_seifert(_triple(args))
-    print(f"b {data.b}")
-    for alpha, beta in data.arms:
-        print(f"arm {alpha} {beta}")
-    print(f"euler {data.euler_number()}")
-    return EXIT_OK
+    arms = [f"arm {alpha} {beta}" for alpha, beta in data.arms]
+    return EXIT_OK, [f"b {data.b}", *arms, f"euler {data.euler_number()}"]
 
 
-def cmd_plumb(args) -> int:
+def cmd_plumb(args) -> Report:
     t = _triple(args)
     g = star_plumbing(brieskorn_seifert(t))
-    sys.stdout.write(format_graph(g, comments=[f"star plumbing with boundary Sigma{t.indices}"]))
-    return EXIT_OK
+    text = format_graph(g, comments=[f"star plumbing with boundary Sigma{t.indices}"])
+    return EXIT_OK, text.splitlines()
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> Report:
     g = _load_graph(args.graph)
     sig, det, wu = _graph_walk(g)
-    print(f"vertices {len(g)}")
-    print(f"edges {len(g.edges)}")
-    print(f"components {len(g.components())}")
-    print(f"det {det}")
-    print(f"signature {sig}")
+    counts = [f"vertices {len(g)}", f"edges {len(g.edges)}", f"components {len(g.components())}"]
+    lines = [*counts, f"det {det}", f"signature {sig}"]
     if det % 2:
-        print(f"wu {','.join(sorted(wu)) or '-'}")
+        lines.append(f"wu {','.join(sorted(wu)) or '-'}")
         try:
             mu = _mu_bar(g, sig, wu)
         except ParityError:
             if abs(det) == 1:  # 8 divides mu-bar of every homology sphere
                 raise
-            return EXIT_OK
-        print(f"mu-bar {mu}")
+            return EXIT_OK, lines
+        lines.append(f"mu-bar {mu}")
         if abs(det) == 1:
-            print(f"rohlin {mu // 8 % 2}")
-    return EXIT_OK
+            lines.append(f"rohlin {mu // 8 % 2}")
+    return EXIT_OK, lines
 
 
 def _mu_routes(t: BrieskornTriple):
     """(lattice, plumbing): the Rohlin invariant of Sigma(t) from the
     Milnor-fiber signature (None when an index is even: the fiber is not
     spin) and from the star plumbing's mu-bar.  Both present and unequal
-    is a cross-check failure, EXIT_DISAGREE; this prints its error line."""
+    is a cross-check failure, EXIT_DISAGREE, whose error line main prints."""
     lattice = rohlin_from_signature(t) if all_odd(t) else None
-    plumbing = rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
-    if lattice not in (None, plumbing):
-        print("mu methods disagree", file=sys.stderr)
-    return lattice, plumbing
+    return lattice, rohlin_mu_bar(star_plumbing(brieskorn_seifert(t)))
 
 
-def cmd_mu(args) -> int:
+def cmd_mu(args) -> Report:
     lattice, plumbing = _mu_routes(_triple(args))
-    print(f"{'-' if lattice is None else lattice} {plumbing}")
-    return EXIT_OK if lattice in (None, plumbing) else EXIT_DISAGREE
+    code = EXIT_OK if lattice in (None, plumbing) else EXIT_DISAGREE
+    return code, [f"{'-' if lattice is None else lattice} {plumbing}"]
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Report:
     g = _load_graph(args.graph)
     verdict, trace = reduce_to_s3(g)
     if verdict.status is Verdict.S3 and args.trace is not None:
@@ -174,8 +168,7 @@ def cmd_reduce(args) -> int:
                 f.write(text)
         except ValueError:  # a NUL byte, which no path holds
             raise DomainError(f"{args.trace}: no such file") from None
-    print(str(verdict))
-    return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE
+    return EXIT_OK if verdict.status is Verdict.S3 else EXIT_NEGATIVE, [str(verdict)]
 
 
 def _record_lines(records):
@@ -208,30 +201,23 @@ def _scan_summary_lines(records):
         yield f"hit {t.a1} {t.a2} {t.a3}"
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Report:
     records = scan_range(
         ScanParams(args.p_bound, args.q_bound, tuple(args.r_range), tuple(args.s_range))
     )
     lines = _record_lines(records) if args.format == "records" else _scan_summary_lines(records)
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
-    sys.stdout.write(to_dot(g))
-    return EXIT_OK
+def cmd_export_dot(args) -> Report:
+    return EXIT_OK, to_dot(_load_graph(args.graph)).splitlines()
 
 
-def cmd_replay_trace(args) -> int:
+def cmd_replay_trace(args) -> Report:
     start, moves = parse_trace(_read_text(args.trace), source=args.trace)
     g = _replay(start, moves)
-    print(f"replay ok: {len(moves)} moves, end graph has {len(g)} vertices")
-    end_text = format_graph(g)
-    if end_text:
-        sys.stdout.write(end_text)
-    return EXIT_OK
+    head = f"replay ok: {len(moves)} moves, end graph has {len(g)} vertices"
+    return EXIT_OK, [head, *format_graph(g).splitlines()]
 
 
 def _surgery_witness(t: BrieskornTriple):
@@ -248,19 +234,19 @@ def _surgery_witness(t: BrieskornTriple):
     return None
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Report:
     """Report the three checkable construction criteria for a triple:
     attainability as +-1 surgery on a knot, Rohlin invariant 1, and the
     all-indices-odd condition that makes the circle-action involution free."""
     t = _triple(args)
-    print(f"triple {t.a1} {t.a2} {t.a3}")
+    lines = [f"triple {t.a1} {t.a2} {t.a3}"]
     ok = 0
 
     witness = _surgery_witness(t)
     if witness is not None:
         p, q, r, s = witness
         coeff = surgery_coefficient(p, q, r, s)
-        print(
+        lines.append(
             "criterion surgery-coefficient-pm1: PASS "
             f"(scan witness p={p} q={q} r={r} s={s}, coefficient {coeff})"
         )
@@ -269,16 +255,16 @@ def cmd_check(args) -> int:
         name = _FIXTURE_SURGERY_EVIDENCE[t.indices]
         verdict, trace = reduce_to_s3(fixture_graph(name))
         if verdict.status is Verdict.S3:
-            print(
+            lines.append(
                 "criterion surgery-coefficient-pm1: PASS "
                 f"(fixture {name}: sphere plus one -1-framed handle reduces to S3 "
                 f"in {len(trace.moves)} moves)"
             )
             ok += 1
         else:
-            print(f"criterion surgery-coefficient-pm1: FAIL (fixture {name}: {verdict})")
+            lines.append(f"criterion surgery-coefficient-pm1: FAIL (fixture {name}: {verdict})")
     else:
-        print("criterion surgery-coefficient-pm1: FAIL (no witness found)")
+        lines.append("criterion surgery-coefficient-pm1: FAIL (no witness found)")
 
     lattice, plumbing = _mu_routes(t)
     status = "PASS" if plumbing == 1 and lattice in (None, 1) else "FAIL"
@@ -286,32 +272,27 @@ def cmd_check(args) -> int:
         f"plumbing {plumbing}, lattice n/a: even index" if lattice is None
         else f"lattice {lattice}, plumbing {plumbing}"
     )
-    print(f"criterion rohlin-invariant-1: {status} ({routes})")
+    lines.append(f"criterion rohlin-invariant-1: {status} ({routes})")
     if lattice not in (None, plumbing):
-        return EXIT_DISAGREE
+        return EXIT_DISAGREE, lines
     ok += status == "PASS"
 
     if all_odd(t):
-        print("criterion free-involution: PASS (all indices odd)")
+        lines.append("criterion free-involution: PASS (all indices odd)")
         ok += 1
     else:
         evens = [a for a in t.indices if a % 2 == 0]
-        print(f"criterion free-involution: FAIL (even index {evens[0]})")
+        lines.append(f"criterion free-involution: FAIL (even index {evens[0]})")
 
     if ok == 3:
-        print("result PASS")
-        return EXIT_OK
-    print(f"result FAIL ({3 - ok} of 3 criteria unmet)")
-    return EXIT_NEGATIVE
+        return EXIT_OK, [*lines, "result PASS"]
+    return EXIT_NEGATIVE, [*lines, f"result FAIL ({3 - ok} of 3 criteria unmet)"]
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> Report:
     if args.name is not None:
-        sys.stdout.write(fixture_text(args.name))
-    else:
-        for name in FIXTURE_NAMES:
-            print(name)
-    return EXIT_OK
+        return EXIT_OK, fixture_text(args.name).splitlines()
+    return EXIT_OK, FIXTURE_NAMES
 
 
 # -- parser / dispatch ----------------------------------------------------------
@@ -396,7 +377,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        code, lines = args.func(args)
+        if code == EXIT_DISAGREE:
+            print("mu methods disagree", file=sys.stderr)
+        sys.stdout.writelines(line + "\n" for line in lines)
         sys.stdout.flush()
         return code
     except SystemExit as exc:

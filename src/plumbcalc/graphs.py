@@ -17,6 +17,7 @@ genuine simple forest.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,9 +44,9 @@ class PlumbingGraph:
 
     def __post_init__(self):
         forest = _ForestBuilder()
-        for v, w in self.vertices:
+        for v, w in _pairs(self.vertices, "vertices"):
             forest.add_vertex(v, w)
-        for u, v in self.edges:
+        for u, v in _pairs(self.edges, "edges"):
             forest.add_edge(u, v)
         object.__setattr__(self, "vertices", tuple(sorted(forest.weights.items())))
         object.__setattr__(self, "edges", tuple(sorted(forest.edges)))
@@ -54,7 +55,9 @@ class PlumbingGraph:
     def build(cls, weights, edges=()) -> "PlumbingGraph":
         """Create a graph from a {id: weight} mapping and an iterable of
         edge pairs; the constructor checks and sorts them."""
-        return cls(tuple(weights.items()), tuple(edges))
+        if not isinstance(weights, Mapping):
+            raise DomainError(f"weights must be a mapping of id to weight, got {weights!r}")
+        return cls(tuple(weights.items()), edges)
 
     # -- accessors ---------------------------------------------------------
 
@@ -117,6 +120,15 @@ class PlumbingGraph:
         return tuple(sorted(comps, key=min))
 
 
+def _pairs(entries, what: str):
+    """The entries, each checked to be a pair; DomainError names the first
+    entry that is not, or entries itself when it is not iterable."""
+    for entry in entries if hasattr(entries, "__iter__") else [entries]:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise DomainError(f"{what} must be pairs, got {entry!r}")
+        yield entry
+
+
 def _check_id(v) -> None:
     if not isinstance(v, str) or not VERTEX_ID_RE.match(v):
         raise DomainError(f"bad vertex id {v!r}")
@@ -150,7 +162,7 @@ class _ForestBuilder:
 
     def add_edge(self, u: str, v: str) -> None:
         for x in (u, v):
-            if x not in self.weights:
+            if not isinstance(x, str) or x not in self.weights:  # a list id is unhashable
                 _check_id(x)
                 raise DomainError(f"unknown vertex {x!r}")
         if u == v:

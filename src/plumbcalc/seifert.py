@@ -35,7 +35,7 @@ from math import gcd
 
 from .arith import neg_cont_frac
 from .errors import DomainError, ParityError
-from .graphs import PlumbingGraph
+from .graphs import PlumbingGraph, _pairs
 
 __all__ = [
     "BrieskornTriple",
@@ -86,7 +86,7 @@ class SeifertData:
     arms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arms = tuple((a, b) for a, b in self.arms)
+        arms = tuple((a, b) for a, b in _pairs(self.arms, "arms"))
         for x in (self.b, *(x for arm in arms for x in arm)):
             if type(x) is not int:
                 raise DomainError(f"Seifert invariant {x!r} is not an integer")

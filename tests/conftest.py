@@ -315,6 +315,10 @@ def oracle_apply_move(g, move):
     front of moves that each build a new graph from g's tuples."""
     arity = {"blowdown": (1, 1), "absorb": (1, 1), "split": (1, 1), "cancel": (2, 2),
              "blowup": (1, 3)}
+    if not isinstance(move, Move):
+        raise MoveError(f"not a Move: {move!r}")
+    if not isinstance(move.ids, tuple) or not all(isinstance(v, str) for v in move.ids):
+        raise MoveError(f"move ids must be a tuple of str, got {move.ids!r}")
     if move.kind not in arity:
         raise MoveError(f"unknown move kind {move.kind!r}")
     low, high = arity[move.kind]
@@ -326,7 +330,7 @@ def oracle_apply_move(g, move):
             raise MoveError(f"blow-up weight must be +-1, got {move.weight!r}")
         if len(set(attach)) != len(attach):
             raise MoveError("blow-up attaches to at most 2 distinct vertices")
-        if not isinstance(new_id, str) or not VERTEX_ID_RE.match(new_id):
+        if not VERTEX_ID_RE.match(new_id):
             raise MoveError(f"bad vertex id {new_id!r} for a blow-up")
     elif move.weight is not None:
         raise MoveError(f"a {move.kind} move takes no weight, got {move.weight!r}")

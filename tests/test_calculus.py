@@ -177,6 +177,11 @@ def test_apply_move_checks_recorded_weights():
         (Move("twist", ("a",)), "unknown move kind 'twist'"),
         (Move("blowup", ("a$", "p0"), weight=-1), "bad vertex id 'a\\$'"),
         (Move("blowdown", ("p1",), weight=5), "a blowdown move takes no weight, got 5"),
+        # a str of ids is not read letter by letter, and only a Move is applied
+        (Move("cancel", "ab"), "move ids must be a tuple of str, got 'ab'"),
+        (Move("cancel", ["p0", "p1"]), "move ids must be a tuple of str"),
+        (Move("blowdown", (1,)), "move ids must be a tuple of str, got \\(1,\\)"),
+        ("blowdown p1", "not a Move: 'blowdown p1'"),
     ],
 )
 def test_malformed_moves_raise_move_error(move, fragment):

@@ -211,6 +211,31 @@ def test_mu_signature_parity_error_exits_2(capsys, monkeypatch):
     assert err == "error: signature 4 of (3, 5, 7) is not divisible by 8\n"
 
 
+def test_check_parity_error_prints_no_report_lines(capsys, monkeypatch):
+    # check computes its triple and surgery lines before the mu routes; an
+    # error there still leaves stdout empty, as every exit 2 does
+    import plumbcalc.seifert as seifert
+
+    monkeypatch.setattr(seifert, "brieskorn_signature_fast", lambda t: 4)
+    code, out, err = run(capsys, "check", "3", "5", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: signature 4 of (3, 5, 7) is not divisible by 8\n"
+
+
+def test_invariants_parity_error_prints_no_report_lines(capsys, monkeypatch):
+    # d3 has |det| = 1, so a mu-bar that 8 does not divide is an error, raised
+    # after invariants has computed its first six lines
+    import plumbcalc.cli as cli
+
+    def refuse(g, sig, wu):
+        raise ParityError("mu-bar 4 is not divisible by 8")
+
+    monkeypatch.setattr(cli, "_mu_bar", refuse)
+    code, out, err = run(capsys, "invariants", "d3")
+    assert (code, out) == (2, "")
+    assert err == "error: mu-bar 4 is not divisible by 8\n"
+
+
 # -- reduce / replay ----------------------------------------------------------------
 
 

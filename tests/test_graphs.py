@@ -18,6 +18,10 @@ from plumbcalc import DomainError, PlumbingGraph, format_graph
         ({"a": -1.5}, [], "weight -1.5 is not an integer"),
         ({"a": True}, [], "weight True is not an integer"),
         ({"a": "-2"}, [], "weight '-2' is not an integer"),
+        # an edge is a pair, never a str read letter by letter
+        ({"a": 1, "b": 2}, [("a",)], r"edges must be pairs, got \('a',\)"),
+        ({"a": -2, "b": -2}, ["ab"], "edges must be pairs, got 'ab'"),
+        ({"a": -2}, [(["a"], "a")], r"bad vertex id \['a'\]"),
     ],
 )
 def test_build_rejections(weights, edges, fragment):
@@ -25,6 +29,21 @@ def test_build_rejections(weights, edges, fragment):
     for make in (PlumbingGraph.build, lambda ws, es: PlumbingGraph(tuple(ws.items()), tuple(es))):
         with pytest.raises(DomainError, match=fragment):
             make(weights, edges)
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda: PlumbingGraph((("a", 1, 2),), ()), r"vertices must be pairs, got \('a', 1, 2\)"),
+        (lambda: PlumbingGraph(None, ()), "vertices must be pairs, got None"),
+        (lambda: PlumbingGraph((("a", 1),), None), "edges must be pairs, got None"),
+        (lambda: PlumbingGraph.build([("a", 1)]), "weights must be a mapping"),
+        (lambda: PlumbingGraph.build({"a": 1}, 5), "edges must be pairs, got 5"),
+    ],
+)
+def test_malformed_containers_raise_domain_error(make, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        make()
 
 
 def test_constructor_sorts_what_it_is_given():

@@ -66,6 +66,20 @@ def test_seifert_data_validation():
             SeifertData(b=b, arms=arms)
 
 
+@pytest.mark.parametrize(
+    "arms, fragment",
+    [
+        (((2,),), r"arms must be pairs, got \(2,\)"),
+        (((3, 1, 1),), r"arms must be pairs, got \(3, 1, 1\)"),
+        (("31",), "arms must be pairs, got '31'"),
+        (None, "arms must be pairs, got None"),
+    ],
+)
+def test_seifert_data_rejects_malformed_arms(arms, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        SeifertData(b=-1, arms=arms)
+
+
 def test_brieskorn_seifert_5_9_13():
     data = brieskorn_seifert(BrieskornTriple(5, 9, 13))
     assert data.b == -1
