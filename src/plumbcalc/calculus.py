@@ -23,16 +23,16 @@ A pass that reaches the empty diagram is an S3 verdict, and its trace is
 replay-verified like every other.
 
 When the pass stops short, the reducer falls back to a breadth-first search
-from the start diagram over blow-downs and cancellations, with
-canonical-form memoization.  The search's states are private diagrams
-too, each successor an edited copy of its parent, and a graph is built
-only for a trace it returns.  Move enumeration is ordered (blow-downs by
-(valence, id), then cancellations by edge ids); together with FIFO
-expansion this makes verdicts and traces deterministic for a fixed input
-and budget.  Blow-ups are excluded from the search unless a positive
-blow-up depth is requested: without them the state space is finite (every
-move drops the vertex count), so exhausting it without reaching the empty
-graph is an honest Unknown, as is exceeding the state budget.
+from the start diagram over blow-downs and cancellations, memoized by
+canonical form.  Its states are private diagrams too, each successor an
+edited copy of its parent, tested for emptiness when it is admitted; a graph
+is built only for a trace it returns.  Moves are listed in a fixed order
+(blow-downs by (valence, id), then cancellations by edge ids), so FIFO
+expansion makes verdicts and traces deterministic for a fixed input and
+budget, which counts the states admitted, the start included.  Blow-ups are
+searched only up to a positive blow-up depth: without them the state space
+is finite (every move drops the vertex count), so exhausting it is an honest
+Unknown, as is the first new state turned away once the budget is full.
 """
 
 from __future__ import annotations
@@ -334,6 +334,11 @@ class MoveTrace:
     moves: tuple[Move, ...]
     end: PlumbingGraph
 
+    def __post_init__(self) -> None:  # replay checks each move with ``_check_move``
+        graphs = isinstance(self.start, PlumbingGraph) and isinstance(self.end, PlumbingGraph)
+        if not graphs or not isinstance(self.moves, tuple):
+            raise DomainError("a MoveTrace takes PlumbingGraph start and end and a tuple of moves")
+
     def replay(self) -> PlumbingGraph:
         g = _replay(self.start, self.moves)
         if g != self.end:
@@ -421,8 +426,8 @@ def reduce_to_s3(
     Returns (S3, trace) when found; the trace is replay-verified before it
     is returned; (NOT-HS(|det|), None) immediately when |det| != 1; and
     (UNKNOWN, None) when neither the greedy pass nor the search reaches the
-    empty diagram: the search's reachable state space is exhausted, or its
-    memo budget is hit, distinguished by ``budget_exhausted``.
+    empty diagram: the search exhausts its reachable states, or turns a new
+    state away once ``budget`` are admitted; ``budget_exhausted`` tells which.
 
     The greedy pass runs first and visits at most ``budget`` diagrams.  The
     search runs only when the pass stops short.  With ``blow_up_depth`` > 0
@@ -526,27 +531,16 @@ def _search(
 ) -> tuple[ReductionVerdict, MoveTrace | None]:
     """Breadth-first search from g over ``_Diagram.moves`` (and
     ``_Diagram.blow_ups`` up to ``blow_up_depth`` per path) for the empty
-    diagram, admitting at most ``budget`` canonical states."""
-    # BFS states are (diagram, blow-ups used); memoized per canonical form
-    # and blow-up count so deeper-blow-up revisits of a diagram are pruned.
+    diagram.  A state is a diagram's canonical form and its blow-ups used.  At
+    most ``budget`` are admitted, the start included, each tested for emptiness
+    then, and the first new one turned away ends the search.  The start needs no
+    test: ``reduce_to_s3`` searches only after a pass from g ended non-empty."""
     start = _Diagram(g)
     start_key = (_forest_code(start.weight, start.adj), 0)
     parents: dict[tuple[str, int], tuple[tuple[str, int], Move] | None] = {start_key: None}
     queue: deque[tuple[_Diagram, tuple[str, int]]] = deque([(start, start_key)])
-    budget_hit = False
     while queue:
         current, key = queue.popleft()
-        if not current.weight:
-            moves = []
-            walk = key
-            while parents[walk] is not None:
-                pkey, move = parents[walk]
-                moves.append(move)
-                walk = pkey
-            moves.reverse()
-            trace = MoveTrace(start=g, moves=tuple(moves), end=current.graph())
-            trace.replay()
-            return ReductionVerdict(Verdict.S3), trace
         ups = key[1]
         candidates = current.moves()
         if ups < blow_up_depth:
@@ -558,11 +552,16 @@ def _search(
             if skey in parents:
                 continue
             if len(parents) >= budget:
-                # Nothing more can be admitted, so only a queued empty
-                # diagram can still end the search: expand nothing else.
-                budget_hit = True
-                queue = deque(item for item in queue if not item[0].weight)
-                break
+                return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=True), None
             parents[skey] = (key, move)
+            if not successor.weight:
+                moves = []
+                walk = skey
+                while parents[walk] is not None:
+                    walk, step = parents[walk]
+                    moves.append(step)
+                trace = MoveTrace(start=g, moves=tuple(reversed(moves)), end=successor.graph())
+                trace.replay()
+                return ReductionVerdict(Verdict.S3), trace
             queue.append((successor, skey))
-    return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=budget_hit), None
+    return ReductionVerdict(Verdict.UNKNOWN, budget_exhausted=False), None

@@ -28,6 +28,7 @@ from plumbcalc import (
     DomainError,
     Move,
     MoveError,
+    MoveTrace,
     PlumbingGraph,
     Verdict,
     applicable_moves,
@@ -222,6 +223,12 @@ def test_trace_replay_and_serialization(fixtures):
     # a trace whose moves do not lead to its recorded end fails its replay
     with pytest.raises(MoveError, match="recorded end graph"):
         dataclasses.replace(trace, end=trace.start).replay()
+    # a malformed field is a DomainError when the trace is made
+    for fields in ({"start": None}, {"end": None}, {"moves": None}, {"moves": list(trace.moves)}):
+        with pytest.raises(DomainError, match="MoveTrace takes"):
+            dataclasses.replace(trace, **fields)
+    with pytest.raises(DomainError, match="MoveTrace takes"):
+        MoveTrace(None, None, None)
 
 
 def test_tampered_trace_fails():
@@ -811,6 +818,18 @@ def test_search_matches_the_graph_state_oracle(fixtures):
             for budget in (10, 300):
                 ours = search_outcome(_search(g, budget, depth))
                 assert ours == search_outcome(oracle_search(g, budget, depth)), (g, depth, budget)
+    # each budget at its boundary: the lens chain needs 31 admitted states at
+    # depth 1, and e8's depth-1 state space is exactly 48 states, so budget 48
+    # exhausts it without turning a state away
+    for g, budget, outcome in [
+        (lens_chain_2020(), 31, ("S3", None)),
+        (lens_chain_2020(), 30, ("UNKNOWN", True)),
+        (fixtures["e8"], 48, ("UNKNOWN", False)),
+        (fixtures["e8"], 47, ("UNKNOWN", True)),
+    ]:
+        ours = search_outcome(_search(g, budget, 1))
+        assert ours == search_outcome(oracle_search(g, budget, 1)), (g, budget)
+        assert ours[:2] == outcome, (g, budget)
     rng = random.Random(4096)
     for _ in range(30):
         g = random_forest(rng, max_vertices=8)
